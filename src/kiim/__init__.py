@@ -8,15 +8,13 @@ from .baselines import BaselineConfig, IgciReference, anm_score, hsic, igci_scor
     kcdc_deviance, kcdc_score, spacing_entropy
 from .bench import AblationCellResult, CellResult, parse_cells, run_ablation, run_synthetic
 from .config import RunConfig, build_config, config_digest, kernel_to_text, parse_kernel, \
-    read_config_file, replace_config, serialize_config
-from .embeddings import EmbeddingCoefficients, ReferenceKind, ReweightingVector, \
-    cond_embedding_coeffs, cond_embedding_coeffs_uncentered, cond_embedding_matrix, \
-    cond_embedding_matrix_uncentered, embedding_sq_norm, reweighted_cond_coeffs, \
-    reweighted_cond_matrix, reweighting_vector, ridge_factorization
+    read_config_file, serialize_config
+from .embeddings import cond_embedding_matrix_uncentered, reweighted_cond_matrix, \
+    reweighting_vector, ridge_factorization
 from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
 from .kernels import MEDIAN, GramMatrix, KernelFamily, KernelSpec, centering_matrix, \
-    default_composite, eval_kernel, gram, kernel_sum, log_kernel, median_heuristic, \
-    polynomial, product, rational_quadratic, rbf, resolve
+    default_composite, gram, kernel_sum, log_kernel, median_heuristic, polynomial, product, \
+    rational_quadratic, rbf, resolve
 from .pairs import Direction, PairedDataset, load_pair_dataset, read_pair_file, \
     standardize, write_pair_text
 from .scoring import AblationPoint, CausalDecision, DirectionScore, Method, Spectrum, \
@@ -27,5 +25,3 @@ from .tcep import MethodAccuracy, PairResult, TcepPair, TcepReport, evaluate_tce
 from .theory import FiniteBasisDensity, construct_equal_norm_density, verify_lemma1
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

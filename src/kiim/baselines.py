@@ -29,8 +29,8 @@ class IgciReference(str, Enum):
 class BaselineConfig:
     """Knobs for the three baseline scorers.
 
-    ``lam`` is the ridge used for the conditional-embedding solves behind
-    the deviance score.
+    The deviance score's ridge is not held here: it shares ``RunConfig.lam``
+    with the invariance scores and is passed to ``kcdc_score`` directly.
     """
 
     kcdc_input_kernel: KernelSpec = log_kernel()
@@ -38,13 +38,10 @@ class BaselineConfig:
     igci_reference: IgciReference = IgciReference.GAUSSIAN
     anm_ridge: float = 1e-3
     anm_kernel: KernelSpec = rbf()
-    lam: float = 1e-3
 
     def __post_init__(self):
         if self.anm_ridge <= 0:
             raise ValueError("anm ridge must be positive")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
         object.__setattr__(self, "igci_reference", IgciReference(self.igci_reference))
 
 
@@ -72,15 +69,17 @@ def kcdc_deviance(Kx: GramMatrix, Ky: GramMatrix, lam: float) -> float:
     return float(norms.var())
 
 
-def kcdc_score(dataset: PairedDataset, direction, config: BaselineConfig | None = None) -> float:
-    """Deviance of conditional embeddings of the effect given the cause."""
+def kcdc_score(dataset: PairedDataset, direction, lam: float = 1e-3,
+               config: BaselineConfig | None = None) -> float:
+    """Deviance of conditional embeddings of the effect given the cause,
+    with ridge ``lam`` on the embedding solves."""
     config = config or BaselineConfig()
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
     cause, effect = oriented(dataset, direction)
     Kx = gram(config.kcdc_input_kernel, standardize(cause))
     Ky = gram(config.kcdc_output_kernel, standardize(effect))
-    return kcdc_deviance(Kx, Ky, config.lam)
+    return kcdc_deviance(Kx, Ky, lam)
 
 
 def spacing_entropy(values) -> float:

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .errors import ConfigurationError, NumericalError
+from .errors import TRIAL_ERRORS, ConfigurationError
 from .pairs import Direction
 from .scoring import Method, infer_direction, rank_ablation
 from .synthdata import Mechanism, MechanismSpec, Noise, generate, table1_grid
@@ -83,7 +83,7 @@ def _trial_outcome(task) -> tuple[bool, str | None]:
     spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
     try:
         decision = infer_direction(generate(spec), method, config)
-    except (ValueError, ConfigurationError, NumericalError, FloatingPointError) as exc:
+    except TRIAL_ERRORS as exc:
         return False, f"{mechanism.value}/{noise.value} seed {seed} {method.value}: {exc}"
     return decision.direction is Direction.X_TO_Y, None
 
@@ -93,16 +93,28 @@ def _ablation_outcome(task) -> tuple[tuple[bool, ...], str | None]:
     spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
     try:
         points = rank_ablation(generate(spec), d_max, config)
-    except (ValueError, ConfigurationError, NumericalError, FloatingPointError) as exc:
+    except TRIAL_ERRORS as exc:
         return (False,) * (d_max + 1), f"{mechanism.value}/{noise.value} seed {seed}: {exc}"
     return tuple(p.direction is Direction.X_TO_Y for p in points), None
 
 
-def _run_tasks(tasks, worker, jobs: int):
+def run_tasks(tasks, worker, jobs: int) -> list:
+    """``[worker(t) for t in tasks]``, in order, on a pool of ``jobs`` processes
+    when ``jobs > 1``; ``worker`` must be a picklable module-level function."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, tasks, chunksize=4))
     return [worker(task) for task in tasks]
+
+
+def _run_cell(tasks, worker, jobs: int) -> tuple[list, int]:
+    """Run one cell's (value, failure message) tasks; return the values and
+    the failure count, logging each failure."""
+    outcomes = run_tasks(tasks, worker, jobs)
+    failures = [msg for _, msg in outcomes if msg]
+    for msg in failures:
+        log.warning("trial failed: %s", msg)
+    return [value for value, _ in outcomes], len(failures)
 
 
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
@@ -118,14 +130,9 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
     for mechanism, noise in cells:
         for method in methods:
             tasks = [(mechanism, noise, n, seed ^ t, method, config) for t in range(trials)]
-            outcomes = _run_tasks(tasks, _trial_outcome, jobs)
-            failures = [msg for _, msg in outcomes if msg]
-            for msg in failures:
-                log.warning("trial failed: %s", msg)
+            hits, errors = _run_cell(tasks, _trial_outcome, jobs)
             results.append(CellResult(mechanism=mechanism, noise=noise, method=method,
-                                      trials=trials,
-                                      correct=sum(ok for ok, _ in outcomes),
-                                      errors=len(failures)))
+                                      trials=trials, correct=sum(hits), errors=errors))
     return tuple(results)
 
 
@@ -140,12 +147,9 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     results = []
     for mechanism, noise in cells:
         tasks = [(mechanism, noise, n, seed ^ t, d_max, config) for t in range(trials)]
-        outcomes = _run_tasks(tasks, _ablation_outcome, jobs)
-        failures = [msg for _, msg in outcomes if msg]
-        for msg in failures:
-            log.warning("ablation trial failed: %s", msg)
+        flags, errors = _run_cell(tasks, _ablation_outcome, jobs)
         for d in range(d_max + 1):
             results.append(AblationCellResult(
                 mechanism=mechanism, noise=noise, discarded_top=d, trials=trials,
-                correct=sum(flags[d] for flags, _ in outcomes), errors=len(failures)))
+                correct=sum(f[d] for f in flags), errors=errors))
     return tuple(results)

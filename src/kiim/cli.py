@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .bench import parse_cells, run_ablation, run_synthetic
-from .config import RunConfig, build_config, config_digest, read_config_file, serialize_config
+from .config import RunConfig, build_config, config_digest, config_items, read_config_file
 from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
 from .kernels import log_kernel, polynomial, rational_quadratic, rbf
 from .pairs import Direction, load_pair_dataset
-from .report import write_bar_chart, write_csv, write_json_summary, write_line_chart
+from .report import SCHEMA_VERSION, write_bar_chart, write_csv, write_json_summary, \
+    write_line_chart
 from .scoring import Method, infer_direction
 from .tcep import evaluate_tcep, load_tcep
 from .theory import FiniteBasisDensity, construct_equal_norm_density, verify_lemma1
@@ -75,12 +76,18 @@ def _config_from_args(args) -> RunConfig:
     return build_config(settings)
 
 
-def _config_mapping(config: RunConfig) -> dict[str, str]:
-    mapping = {}
-    for line in serialize_config(config).splitlines():
-        key, _, value = line.partition(" = ")
-        mapping[key] = value
-    return mapping
+def _summary(command: str, config: RunConfig, seed: int, elapsed: float, fields: dict) -> dict:
+    """JSON summary of one run command: the shared envelope plus ``fields``."""
+    digest = config_digest(config)
+    return {
+        "command": command,
+        "run_id": f"{command}-{digest[:12]}-seed{seed}",
+        "config": config_items(config),
+        "config_digest": digest,
+        "seed": seed,
+        "timings": {"total_seconds": elapsed},
+        **fields,
+    }
 
 
 def _out_dir(args) -> Path:
@@ -103,7 +110,7 @@ def cmd_infer(args) -> int:
     config = _config_from_args(args)
     decision = infer_direction(dataset, parse_method(args.method), config)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "direction": decision.direction.value,
         "method": decision.method.value,
         "config_digest": decision.config_digest,
@@ -129,21 +136,14 @@ def cmd_synthetic(args) -> int:
     write_csv(out / "synthetic.csv",
               ["mechanism", "noise", "method", "trials", "correct", "errors",
                "accuracy", "accuracy_std"], rows)
-    digest = config_digest(config)
-    write_json_summary(out / "synthetic.json", {
-        "command": "synthetic",
-        "run_id": f"synthetic-{digest[:12]}-seed{args.seed}",
-        "config": _config_mapping(config),
-        "config_digest": digest,
-        "seed": args.seed,
+    write_json_summary(out / "synthetic.json", _summary("synthetic", config, args.seed, elapsed, {
         "trials": args.trials,
         "n": args.n,
         "results": [{"mechanism": r.mechanism.value, "noise": r.noise.value,
                      "method": r.method.value, "trials": r.trials, "correct": r.correct,
                      "errors": r.errors, "accuracy": r.accuracy,
                      "accuracy_std": r.accuracy_std} for r in results],
-        "timings": {"total_seconds": elapsed},
-    })
+    }))
     for r in results:
         print(f"{r.mechanism.value:5s} {r.noise.value:15s} {r.method.value:11s} "
               f"accuracy {r.accuracy:6.1%} +- {r.accuracy_std:.1%}")
@@ -165,13 +165,7 @@ def cmd_tcep(args) -> int:
              "error" if r.error else r.direction, r.correct) for r in report.results]
     write_csv(out / "tcep_pairs.csv",
               ["pair_id", "method", "score_xy", "score_yx", "decision", "correct"], rows)
-    digest = config_digest(config)
-    write_json_summary(out / "tcep_summary.json", {
-        "command": "tcep",
-        "run_id": f"tcep-{digest[:12]}-seed{args.seed}",
-        "config": _config_mapping(config),
-        "config_digest": digest,
-        "seed": args.seed,
+    write_json_summary(out / "tcep_summary.json", _summary("tcep", config, args.seed, elapsed, {
         "subsample_limit": args.subsample_limit,
         "loaded": report.loaded,
         "excluded": report.excluded,
@@ -182,8 +176,7 @@ def cmd_tcep(args) -> int:
                         "correct": a.correct, "accuracy": a.accuracy,
                         "weighted_accuracy": a.weighted_accuracy}
                        for a in report.accuracies],
-        "timings": {"total_seconds": elapsed},
-    })
+    }))
     write_bar_chart(out / "tcep_accuracy.svg", "Benchmark accuracy by method",
                     [a.method.value for a in report.accuracies],
                     [a.accuracy for a in report.accuracies], "accuracy")
@@ -210,13 +203,7 @@ def cmd_ablation(args) -> int:
     write_csv(out / "ablation.csv",
               ["mechanism", "noise", "discarded_top", "trials", "correct", "errors",
                "accuracy"], rows)
-    digest = config_digest(config)
-    write_json_summary(out / "ablation.json", {
-        "command": "ablation",
-        "run_id": f"ablation-{digest[:12]}-seed{args.seed}",
-        "config": _config_mapping(config),
-        "config_digest": digest,
-        "seed": args.seed,
+    write_json_summary(out / "ablation.json", _summary("ablation", config, args.seed, elapsed, {
         "trials": args.trials,
         "n": args.n,
         "d_max": args.d_max,
@@ -224,8 +211,7 @@ def cmd_ablation(args) -> int:
                      "discarded_top": r.discarded_top, "trials": r.trials,
                      "correct": r.correct, "errors": r.errors, "accuracy": r.accuracy}
                     for r in results],
-        "timings": {"total_seconds": elapsed},
-    })
+    }))
     series: dict[str, list[float]] = {}
     for r in results:
         series.setdefault(f"{r.mechanism.value}/{r.noise.value}", []).append(r.accuracy)

@@ -14,7 +14,6 @@ into the resolved kernels rather than stored.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 
@@ -215,16 +214,16 @@ def build_config(settings: dict[str, str]) -> RunConfig:
         else:
             raise ConfigurationError(f"unknown config key {key!r}")
     try:
-        fields["baselines"] = BaselineConfig(lam=fields.get("lam", 1e-3), **base)
+        fields["baselines"] = BaselineConfig(**base)
         return RunConfig(**fields)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Canonical text form of a config: sorted `key = value` lines."""
+def config_items(config: RunConfig) -> dict[str, str]:
+    """Every setting as a config-file key and its canonical text, keys sorted."""
     b = config.baselines
-    items = {
+    return dict(sorted({
         "anm.kernel": kernel_to_text(b.anm_kernel),
         "anm.ridge": repr(b.anm_ridge),
         "embedding_form": config.embedding_form,
@@ -237,28 +236,14 @@ def serialize_config(config: RunConfig) -> str:
         "lambda": repr(config.lam),
         "rw.clip_quantile": repr(config.rw_clip_quantile),
         "tie_tolerance": repr(config.tie_tolerance),
-    }
-    return "".join(f"{key} = {items[key]}\n" for key in sorted(items))
+    }.items()))
+
+
+def serialize_config(config: RunConfig) -> str:
+    """Canonical text form of a config: sorted `key = value` lines."""
+    return "".join(f"{key} = {value}\n" for key, value in config_items(config).items())
 
 
 def config_digest(config: RunConfig) -> str:
     """Stable hex digest of the serialized config."""
     return hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()
-
-
-def replace_config(config: RunConfig, **changes) -> RunConfig:
-    """dataclasses.replace that also reaches into the baseline sub-config.
-
-    ``lam`` names the same ridge in both levels, so it is mirrored into the
-    baseline settings exactly as build_config threads it.
-    """
-    top_fields = {f.name for f in dataclasses.fields(RunConfig)}
-    base_fields = {f.name for f in dataclasses.fields(BaselineConfig)}
-    nested = {k: changes.pop(k) for k in list(changes)
-              if k in base_fields and k not in top_fields}
-    if "lam" in changes:
-        nested["lam"] = changes["lam"]
-    if nested:
-        baselines = changes.get("baselines", config.baselines)
-        changes["baselines"] = dataclasses.replace(baselines, **nested)
-    return dataclasses.replace(config, **changes)

@@ -1,24 +1,23 @@
 """Conditional mean-embedding coefficients and the reweighted estimator.
 
 Embeddings are never materialized: a conditional embedding mu_{Y|x_i} is
-represented by its coefficient vector a_i against the effect samples, so
-that squared RKHS norms reduce to Gram quadratic forms a^T K a.
+represented by its coefficient vector a_i against the effect samples, and
+all n vectors are computed at once as the columns of one coefficient
+matrix, so one factorization serves every right-hand side.
 
-Two empirical forms of the conditional coefficients are provided:
-
-* ``cond_embedding_coeffs`` solves (K_x + lambda I) a_i = k_{x_i}; this is
-  the form the invariance-matrix derivation is built on and the pipeline
-  default.
-* ``cond_embedding_coeffs_uncentered`` solves (H K_x + lambda n I) a_i =
-  k_{x_i}. The asymmetric placement of H (left of K_x only) is kept exactly
-  as configured, for comparison runs; pick it via ``embedding_form = eq5``.
+* ``ridge_factorization`` factors (K_x + lambda I); solving against K_x
+  gives the coefficients the invariance-matrix derivation is built on
+  (the pipeline default, ``embedding_form = alg1``).
+* ``cond_embedding_matrix_uncentered`` solves (H K_x + lambda n I) A = K_x.
+  The asymmetric placement of H (left of K_x only) is kept exactly as
+  configured, for comparison runs; pick it via ``embedding_form = eq5``.
+* ``reweighting_vector`` and ``reweighted_cond_matrix`` give the
+  importance-reweighted coefficients behind Rw-KIIM.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -68,54 +67,6 @@ def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:
     return _Factorization(np.asarray(K, dtype=float) + shift * np.eye(K.shape[0]))
 
 
-class ReferenceKind(str, Enum):
-    UNIFORM_ON_RANGE = "UniformOnRange"
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingCoefficients:
-    """Coefficient vector a with mu = Psi a against n effect samples.
-
-    ``conditioning_index`` is the sample index the embedding conditions on,
-    or None for a free (not sample-tied) vector.
-    """
-
-    weights: np.ndarray
-    conditioning_index: int | None
-    lam: float
-
-
-@dataclass(frozen=True, eq=False)
-class ReweightingVector:
-    """Positive importance weights r_i = u(x_i) / p_hat(x_i), clipped."""
-
-    weights: np.ndarray
-    reference_kind: ReferenceKind = ReferenceKind.UNIFORM_ON_RANGE
-    clip_quantile: float = 0.95
-
-
-def _check_index(i: int, n: int) -> None:
-    if not 0 <= i < n:
-        raise ValueError(f"conditioning index {i} out of range for n={n}")
-
-
-def cond_embedding_matrix(Kx: GramMatrix, lam: float) -> np.ndarray:
-    """All conditional coefficients at once: column i is (K_x + lam I)^{-1} k_{x_i}.
-
-    A single factorization is shared across the n right-hand sides.
-    """
-    fac = ridge_factorization(Kx.values, lam)
-    return fac.solve(np.array(Kx.values))
-
-
-def cond_embedding_coeffs(Kx: GramMatrix, i: int, lam: float) -> EmbeddingCoefficients:
-    """Coefficients of mu_{Y|x_i}: the SPD-ridge solve (K_x + lam I) a = k_{x_i}."""
-    _check_index(i, Kx.n)
-    fac = ridge_factorization(Kx.values, lam)
-    a = fac.solve(np.array(Kx.values[:, i]))
-    return EmbeddingCoefficients(weights=a, conditioning_index=i, lam=lam)
-
-
 def cond_embedding_matrix_uncentered(Kx: GramMatrix, lam: float) -> np.ndarray:
     """Comparison form: column i solves (H K_x + lam n I) a = k_{x_i}."""
     if lam <= 0:
@@ -125,27 +76,9 @@ def cond_embedding_matrix_uncentered(Kx: GramMatrix, lam: float) -> np.ndarray:
     return _Factorization(A).solve(np.array(Kx.values))
 
 
-def cond_embedding_coeffs_uncentered(Kx: GramMatrix, i: int, lam: float) -> EmbeddingCoefficients:
-    _check_index(i, Kx.n)
-    a = cond_embedding_matrix_uncentered(Kx, lam)[:, i]
-    return EmbeddingCoefficients(weights=a, conditioning_index=i, lam=lam)
-
-
-def embedding_sq_norm(a: EmbeddingCoefficients, Ky: GramMatrix) -> float:
-    """Quadratic form a^T K_y a.
-
-    May be negative for non-PSD kernels (log kernel); returned as-is, the
-    caller decides whether to clamp.
-    """
-    w = a.weights
-    if w.shape[0] != Ky.n:
-        raise ValueError("coefficient length does not match Gram dimension")
-    return float(w @ Ky.values @ w)
-
-
-def reweighting_vector(xs, reference_kind=ReferenceKind.UNIFORM_ON_RANGE,
-                       clip_quantile: float = 0.95) -> ReweightingVector:
-    """Importance weights toward a uniform reference on the sample range.
+def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
+    """Positive importance weights r_i = u(x_i) / p_hat(x_i) toward a uniform
+    reference u on the sample range.
 
     The sample density is a Gaussian KDE with Silverman bandwidth
     1.06 std(xs) n^{-1/5}; weights above the ``clip_quantile`` empirical
@@ -160,20 +93,19 @@ def reweighting_vector(xs, reference_kind=ReferenceKind.UNIFORM_ON_RANGE,
         raise ValueError("degenerate sample range")
     if not 0.5 < clip_quantile <= 1.0:
         raise ValueError("clip quantile must lie in (0.5, 1]")
-    reference_kind = ReferenceKind(reference_kind)
     h = 1.06 * float(x.std()) * n ** (-0.2)
     sq = (x[:, None] - x[None, :]) ** 2
     dens = np.exp(-sq / (2.0 * h * h)).sum(axis=1) / (n * h * np.sqrt(2.0 * np.pi))
     r = (1.0 / (hi - lo)) / dens
     if clip_quantile < 1.0:
         r = np.minimum(r, np.quantile(r, clip_quantile))
-    return ReweightingVector(weights=r, reference_kind=reference_kind,
-                             clip_quantile=clip_quantile)
+    return r
 
 
-def _reweighted_system(Kx: GramMatrix, r: ReweightingVector, lam: float):
+def _reweighted_system(Kx: GramMatrix, r: np.ndarray, lam: float):
+    # A function of its own so that G is freed before the caller's solve.
     n = Kx.n
-    w = np.asarray(r.weights, dtype=float).ravel()
+    w = np.asarray(r, dtype=float).ravel()
     if w.shape[0] != n:
         raise ValueError("reweighting length does not match Gram dimension")
     if not (np.isfinite(w).all() and (w > 0).all()):
@@ -186,18 +118,9 @@ def _reweighted_system(Kx: GramMatrix, r: ReweightingVector, lam: float):
     return s, H, _Factorization(G)
 
 
-def reweighted_cond_matrix(Kx: GramMatrix, r: ReweightingVector, lam: float) -> np.ndarray:
+def reweighted_cond_matrix(Kx: GramMatrix, r: np.ndarray, lam: float) -> np.ndarray:
     """All reweighted coefficients: H R^{1/2} G^{-1} R^{1/2} H K_x with
     G = H R^{1/2} K_x R^{1/2} H + lam n I, exactly as composed."""
     s, H, fac = _reweighted_system(Kx, r, lam)
     T = fac.solve(s[:, None] * (H @ Kx.values))
     return H @ (s[:, None] * T)
-
-
-def reweighted_cond_coeffs(Kx: GramMatrix, r: ReweightingVector, i: int,
-                           lam: float) -> EmbeddingCoefficients:
-    """Reweighted coefficients for a single conditioning index."""
-    _check_index(i, Kx.n)
-    s, H, fac = _reweighted_system(Kx, r, lam)
-    a = H @ (s * fac.solve(s * (H @ Kx.values[:, i])))
-    return EmbeddingCoefficients(weights=a, conditioning_index=i, lam=lam)

@@ -38,3 +38,8 @@ class IngestionError(Exception):
 
 class TangencyError(Exception):
     """The equal-norm construction collapsed: line tangent to the ellipse."""
+
+
+#: Failures one trial or pair evaluation may raise; the harnesses record
+#: them against that trial instead of aborting the run.
+TRIAL_ERRORS = (ValueError, ConfigurationError, NumericalError, FloatingPointError)

@@ -70,20 +70,6 @@ class KernelSpec:
         elif self.parts:
             raise ValueError(f"{fam.value} kernel takes no parts")
 
-    @property
-    def is_resolved(self) -> bool:
-        """True once every median-heuristic marker has been replaced."""
-        if self.family is KernelFamily.RBF:
-            return self.bandwidth != MEDIAN
-        return all(p.is_resolved for p in self.parts)
-
-    @property
-    def is_stationary(self) -> bool:
-        """True when the kernel depends on its arguments only through x - x'."""
-        if self.family in _COMPOSITES:
-            return all(p.is_stationary for p in self.parts)
-        return self.family is not KernelFamily.POLYNOMIAL
-
 
 def rbf(bandwidth: float | str = MEDIAN) -> KernelSpec:
     """RBF kernel exp(-(x - x')^2 / sigma^2)."""
@@ -183,16 +169,6 @@ def _evaluate(spec: KernelSpec, a, b):
             out = out + _evaluate(part, a, b)
         return out
     raise ConfigurationError(f"unknown kernel family {fam!r}")
-
-
-def eval_kernel(spec: KernelSpec, x: float, xp: float) -> float:
-    """Evaluate k(x, x') for a fully resolved spec.
-
-    Composite products multiply their part values, composite sums add them.
-    """
-    if not spec.is_resolved:
-        raise ConfigurationError("bandwidth not resolved; call resolve() against a sample set")
-    return float(_evaluate(spec, np.float64(x), np.float64(xp)))
 
 
 def gram(spec: KernelSpec, samples) -> GramMatrix:

@@ -44,22 +44,10 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_finite(node) -> None:
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ValueError("refusing to write a non-finite value into a report")
-    if isinstance(node, dict):
-        for v in node.values():
-            _check_finite(v)
-    elif isinstance(node, (list, tuple)):
-        for v in node:
-            _check_finite(v)
-
-
 def write_json_summary(path, payload: dict) -> None:
     """Schema-stamped JSON with sorted keys; rejects NaN/Inf anywhere."""
     body = {"schema": SCHEMA_VERSION}
     body.update(payload)
-    _check_finite(body)
     text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 

@@ -93,8 +93,6 @@ def kiim_matrix(Kx: GramMatrix, Ky: GramMatrix, lam: float) -> np.ndarray:
     """
     if Kx.n != Ky.n:
         raise ValueError("Gram matrices must have matching dimensions")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     T = ridge_factorization(Kx.values, lam).solve(np.array(Ky.values))
     B = centering_matrix(Kx.n) @ (Kx.values @ T)
     M = B.T @ B
@@ -224,7 +222,8 @@ def direction_score(dataset: PairedDataset, direction, method, config: RunConfig
     if method is Method.RW_KIIM:
         return rw_kiim_score(dataset, direction, config)
     if method is Method.KCDC:
-        return DirectionScore(score=kcdc_score(dataset, direction, config.baselines))
+        return DirectionScore(score=kcdc_score(dataset, direction, config.lam,
+                                                config.baselines))
     if method is Method.IGCI_GAUSS:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.GAUSSIAN))
     if method is Method.IGCI_UNIFORM:

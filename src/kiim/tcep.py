@@ -14,14 +14,14 @@ xs is the annotated cause, making XtoY the correct answer everywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .bench import run_tasks
 from .config import RunConfig
-from .errors import ConfigurationError, IngestionError, NumericalError
+from .errors import TRIAL_ERRORS, IngestionError
 from .pairs import Direction, PairedDataset, read_pair_file
 from .scoring import Method, infer_direction
 
@@ -134,7 +134,7 @@ def _evaluate_one(task) -> PairResult:
     pair_id, dataset, method, config = task
     try:
         decision = infer_direction(dataset, method, config)
-    except (ValueError, ConfigurationError, NumericalError, FloatingPointError) as exc:
+    except TRIAL_ERRORS as exc:
         return PairResult(pair_id=pair_id, method=method, score_xy=None, score_yx=None,
                           direction=None, correct=False, error=str(exc) or repr(exc))
     return PairResult(pair_id=pair_id, method=method,
@@ -168,11 +168,7 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
             dataset = dataset.subsampled(subsample_limit, rng)
         for method in methods:
             tasks.append((pair.id, dataset, method, config))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_one, tasks, chunksize=1))
-    else:
-        results = [_evaluate_one(task) for task in tasks]
+    results = run_tasks(tasks, _evaluate_one, jobs)
     weights = {p.id: p.weight for p in usable}
     accuracies = []
     for method in methods:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from kiim import (BaselineConfig, Direction, GramMatrix, IgciReference, Mechanism,
-                  MechanismSpec, Method, Noise, PairedDataset, anm_score, generate, hsic,
-                  igci_score, infer_direction, kcdc_deviance, kcdc_score, rbf,
-                  run_synthetic, spacing_entropy)
+                  MechanismSpec, Method, Noise, PairedDataset, RunConfig, anm_score,
+                  build_config, generate, hsic, igci_score, infer_direction, kcdc_deviance,
+                  kcdc_score, rbf, run_synthetic, spacing_entropy)
 from kiim.baselines import oriented
+from kiim.scoring import direction_score
 
 
 def _gram_of(values):
@@ -34,7 +35,8 @@ def test_baseline_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(anm_ridge=0.0)
     with pytest.raises(ValueError):
-        BaselineConfig(lam=-1.0)
+        kcdc_score(PairedDataset(np.arange(6.0), np.arange(6.0) ** 2), Direction.X_TO_Y,
+                   lam=-1.0)
     assert BaselineConfig(igci_reference="Uniform").igci_reference is IgciReference.UNIFORM
 
 
@@ -68,6 +70,17 @@ def test_kcdc_score_nonnegative():
     with pytest.raises(ValueError):
         kcdc_score(PairedDataset(rng.standard_normal(3), rng.standard_normal(3)),
                    Direction.X_TO_Y)
+
+
+def test_kcdc_ridge_is_the_run_lambda():
+    # One ridge for every method: a RunConfig built in code and one parsed
+    # from settings must give KCDC the same lambda.
+    ds = generate(MechanismSpec(mechanism=Mechanism.ANM1, noise=Noise.GAUSSIAN, n=60, seed=0))
+    direct = direction_score(ds, Direction.X_TO_Y, Method.KCDC, RunConfig(lam=0.5))
+    parsed = direction_score(ds, Direction.X_TO_Y, Method.KCDC, build_config({"lambda": "0.5"}))
+    assert direct.score == parsed.score
+    assert direct.score == kcdc_score(ds, Direction.X_TO_Y, lam=0.5)
+    assert direct.score != kcdc_score(ds, Direction.X_TO_Y)
 
 
 def test_kcdc_additive_cubic_accuracy_is_loosely_high():

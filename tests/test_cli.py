@@ -9,6 +9,7 @@ import pytest
 from kiim import Mechanism, MechanismSpec, Method, Noise, PairedDataset, generate, \
     write_pair_text
 from kiim.cli import main, parse_method, parse_methods
+from kiim.report import SCHEMA_VERSION
 
 
 @pytest.fixture
@@ -32,6 +33,7 @@ def test_parse_method_aliases():
 def test_infer_decides_forward(pair_file, capsys):
     assert main(["infer", str(pair_file)]) == 0
     payload = _json_output(capsys)
+    assert payload["schema"] == SCHEMA_VERSION
     assert payload["direction"] == "XtoY"
     assert payload["method"] == "KIIM"
     assert payload["n"] == 80

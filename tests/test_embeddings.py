@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from kiim import (EmbeddingCoefficients, GramMatrix, NumericalError, ReweightingVector,
-                  cond_embedding_coeffs, cond_embedding_matrix,
-                  cond_embedding_matrix_uncentered, embedding_sq_norm, gram, rbf,
-                  reweighted_cond_coeffs, reweighted_cond_matrix, reweighting_vector,
-                  ridge_factorization)
-
-
-def _free(weights):
-    return EmbeddingCoefficients(weights=np.asarray(weights, dtype=float),
-                                 conditioning_index=None, lam=1e-9)
+from kiim import (GramMatrix, NumericalError, cond_embedding_matrix_uncentered, gram, rbf,
+                  reweighted_cond_matrix, reweighting_vector, ridge_factorization)
 
 
 def _gram_of(values):
@@ -19,28 +11,27 @@ def _gram_of(values):
     return GramMatrix(values=values, spec=rbf(1.0), n=values.shape[0])
 
 
+def _coeffs(K: GramMatrix, lam: float) -> np.ndarray:
+    """Column i holds the conditional coefficients (K + lam I)^{-1} k_i."""
+    return ridge_factorization(K.values, lam).solve(np.array(K.values))
+
+
 def test_scalar_solve():
-    a = cond_embedding_coeffs(_gram_of([[1.0]]), 0, 1e-3)
-    assert a.weights[0] == pytest.approx(1.0 / 1.001, abs=1e-15)
-    assert a.conditioning_index == 0
+    a = _coeffs(_gram_of([[1.0]]), 1e-3)[:, 0]
+    assert a[0] == pytest.approx(1.0 / 1.001, abs=1e-15)
 
 
 def test_diagonal_solve():
-    a = cond_embedding_coeffs(_gram_of(np.eye(2)), 1, 1e-3)
-    np.testing.assert_allclose(a.weights, [0.0, 1.0 / 1.001], atol=1e-15)
-
-
-def test_index_out_of_range():
-    with pytest.raises(ValueError):
-        cond_embedding_coeffs(_gram_of(np.eye(2)), 2, 1e-3)
+    a = _coeffs(_gram_of(np.eye(2)), 1e-3)[:, 1]
+    np.testing.assert_allclose(a, [0.0, 1.0 / 1.001], atol=1e-15)
 
 
 def test_regularization_dominance():
     rng = np.random.default_rng(0)
     K = gram(rbf(1.0), rng.standard_normal(12))
-    a = cond_embedding_coeffs(K, 3, 1e9)
+    a = _coeffs(K, 1e9)[:, 3]
     k_col = K.values[:, 3]
-    assert np.linalg.norm(a.weights) <= 1e-6 * np.linalg.norm(k_col) * K.n
+    assert np.linalg.norm(a) <= 1e-6 * np.linalg.norm(k_col) * K.n
 
 
 def test_solve_residual():
@@ -50,7 +41,7 @@ def test_solve_residual():
         K = gram(rbf(), r.standard_normal(20))
         lam = 1e-3
         i = int(rng.integers(0, 20))
-        a = cond_embedding_coeffs(K, i, lam).weights
+        a = _coeffs(K, lam)[:, i]
         lhs = (K.values + lam * np.eye(20)) @ a
         k_col = K.values[:, i]
         assert np.linalg.norm(lhs - k_col) <= 1e-8 * np.linalg.norm(k_col)
@@ -59,10 +50,10 @@ def test_solve_residual():
 def test_matrix_columns_match_single_solves():
     rng = np.random.default_rng(2)
     K = gram(rbf(), rng.standard_normal(9))
-    A = cond_embedding_matrix(K, 1e-3)
+    fac = ridge_factorization(K.values, 1e-3)
+    A = fac.solve(np.array(K.values))
     for i in range(9):
-        np.testing.assert_allclose(A[:, i], cond_embedding_coeffs(K, i, 1e-3).weights,
-                                   atol=1e-12)
+        np.testing.assert_allclose(A[:, i], fac.solve(np.array(K.values[:, i])), atol=1e-12)
 
 
 def test_ridge_factorization_rejects_nonpositive_shift():
@@ -80,7 +71,7 @@ def test_singular_solve_reports_condition():
 def test_uncentered_form_differs_from_default():
     rng = np.random.default_rng(3)
     K = gram(rbf(), rng.standard_normal(10))
-    A = cond_embedding_matrix(K, 1e-3)
+    A = _coeffs(K, 1e-3)
     B = cond_embedding_matrix_uncentered(K, 1e-3)
     assert np.abs(A - B).max() > 1e-6
 
@@ -94,32 +85,9 @@ def test_uncentered_form_solves_its_system():
     assert np.abs(lhs - K.values).max() <= 1e-10
 
 
-def test_sq_norm_unit_selector():
-    assert embedding_sq_norm(_free([1.0]), _gram_of([[1.0]])) == 1.0
-
-
-def test_sq_norm_quadratic_form():
-    assert embedding_sq_norm(_free([0.5, 0.5]),
-                             _gram_of([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(1.0)
-    assert embedding_sq_norm(_free([0.0, 0.0]), _gram_of(np.eye(2))) == 0.0
-
-
-def test_sq_norm_dimension_mismatch():
-    with pytest.raises(ValueError):
-        embedding_sq_norm(_free([1.0, 0.0]), _gram_of(np.eye(3)))
-
-
-def test_sq_norm_nonnegative_on_psd():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        K = gram(rbf(), rng.standard_normal(15))
-        assert embedding_sq_norm(_free(rng.standard_normal(15)), K) \
-            >= -1e-10 * np.trace(K.values)
-
-
 def test_reweighting_on_uniform_grid_is_mild():
     xs = np.linspace(0.0, 1.0, 400)
-    r = reweighting_vector(xs, clip_quantile=1.0).weights
+    r = reweighting_vector(xs, clip_quantile=1.0)
     assert r.min() >= 0.5 and r.max() <= 2.0
 
 
@@ -144,8 +112,8 @@ def test_reweighting_clip_quantile_bounds():
 def test_reweighting_clipping_behavior():
     rng = np.random.default_rng(6)
     xs = np.concatenate([rng.standard_normal(100), [8.0]])  # outlier inflates its weight
-    unclipped = reweighting_vector(xs, clip_quantile=1.0).weights
-    clipped = reweighting_vector(xs, clip_quantile=0.95).weights
+    unclipped = reweighting_vector(xs, clip_quantile=1.0)
+    clipped = reweighting_vector(xs, clip_quantile=0.95)
     cap = np.quantile(unclipped, 0.95)
     assert unclipped.max() > cap
     assert clipped.max() == pytest.approx(cap)
@@ -156,8 +124,7 @@ def test_reweighted_identity_weights_match_direct_formula():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(12)
     K = gram(rbf(1.0), x)
-    ones = ReweightingVector(weights=np.ones(12))
-    got = reweighted_cond_matrix(K, ones, 1e-3)
+    got = reweighted_cond_matrix(K, np.ones(12), 1e-3)
     h = oracles.centering(12)
     direct = h @ np.linalg.inv(h @ K.values @ h + 1e-3 * 12 * np.eye(12)) @ h @ K.values
     assert np.abs(got - direct).max() <= 1e-9
@@ -165,21 +132,20 @@ def test_reweighted_identity_weights_match_direct_formula():
 
 def test_reweighted_single_point_is_annihilated():
     K = _gram_of([[1.0]])
-    a = reweighted_cond_coeffs(K, ReweightingVector(weights=np.ones(1)), 0, 1e-3)
-    assert a.weights[0] == pytest.approx(0.0, abs=1e-15)
+    A = reweighted_cond_matrix(K, np.ones(1), 1e-3)
+    assert A[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_reweighted_matches_dense_oracle():
     for seed in range(25):
         rng = np.random.default_rng(seed)
         K = gram(rbf(1.0), rng.standard_normal(5))
-        r = ReweightingVector(weights=rng.uniform(0.2, 3.0, 5))
+        r = rng.uniform(0.2, 3.0, 5)
         got = reweighted_cond_matrix(K, r, 1e-3)
-        want = oracles.dense_reweighted_coeffs(K.values, r.weights, 1e-3)
+        want = oracles.dense_reweighted_coeffs(K.values, r, 1e-3)
         assert np.abs(got - want).max() <= 1e-10
         i = int(rng.integers(0, 5))
-        a = reweighted_cond_coeffs(K, r, i, 1e-3).weights
-        assert np.abs(a - want[:, i]).max() <= 1e-10
+        assert np.abs(got[:, i] - want[:, i]).max() <= 1e-10
 
 
 def test_reweighted_coeffs_sum_to_zero():
@@ -193,6 +159,6 @@ def test_reweighted_coeffs_sum_to_zero():
 def test_reweighted_rejects_bad_weights():
     K = _gram_of(np.eye(5))
     with pytest.raises(ValueError):
-        reweighted_cond_matrix(K, ReweightingVector(weights=np.array([1, 1, 0, 1, 1.0])), 1e-3)
+        reweighted_cond_matrix(K, np.array([1, 1, 0, 1, 1.0]), 1e-3)
     with pytest.raises(ValueError):
-        reweighted_cond_matrix(K, ReweightingVector(weights=np.ones(4)), 1e-3)
+        reweighted_cond_matrix(K, np.ones(4), 1e-3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import oracles
 from kiim import (Direction, GramMatrix, Method, PairedDataset, RunConfig, Spectrum,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
                   invariance_matrix, kiim_matrix, kiim_score, matrix_from_coeffs,
-                  rank_ablation, rbf, replace_config, rw_kiim_score, sym_eig)
+                  rank_ablation, rbf, rw_kiim_score, sym_eig)
 from kiim.scoring import direction_score
 
 
@@ -322,7 +324,7 @@ def test_infer_all_methods_run():
 
 def test_tie_tolerance_is_configurable():
     ds = _random_dataset(17, n=30)
-    loose = replace_config(RunConfig(), tie_tolerance=1e6)
+    loose = dataclasses.replace(RunConfig(), tie_tolerance=1e6)
     decision = infer_direction(ds, Method.KIIM, loose)
     assert decision.direction is Direction.UNDECIDED
 
