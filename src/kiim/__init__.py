@@ -9,10 +9,9 @@ from .baselines import BaselineConfig, IgciReference, anm_score, hsic, igci_scor
 from .bench import AblationCellResult, CellResult, parse_cells, run_ablation, run_synthetic
 from .config import RunConfig, build_config, config_digest, kernel_to_text, parse_kernel, \
     read_config_file, serialize_config
-from .embeddings import cond_embedding_matrix_uncentered, reweighted_cond_matrix, \
-    reweighting_vector, ridge_factorization
+from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
-from .kernels import MEDIAN, GramMatrix, KernelFamily, KernelSpec, centering_matrix, \
+from .kernels import MEDIAN, GramMatrix, KernelFamily, KernelSpec, center, \
     default_composite, gram, kernel_sum, log_kernel, median_heuristic, polynomial, product, \
     rational_quadratic, rbf, resolve
 from .pairs import Direction, PairedDataset, load_pair_dataset, read_pair_file, \

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .embeddings import ridge_factorization
-from .kernels import GramMatrix, KernelSpec, centering_matrix, gram, log_kernel, \
+from .kernels import GramMatrix, KernelSpec, center, gram, log_kernel, \
     rational_quadratic, rbf
 from .pairs import Direction, PairedDataset, standardize
 
@@ -29,20 +29,18 @@ class IgciReference(str, Enum):
 class BaselineConfig:
     """Knobs for the three baseline scorers.
 
-    The deviance score's ridge is not held here: it shares ``RunConfig.lam``
-    with the invariance scores and is passed to ``kcdc_score`` directly.
+    The deviance ridge is ``RunConfig.lam``, passed to ``kcdc_score``; the
+    method (IGCIGauss or IGCIUniform) picks the entropy score's reference.
     """
 
     kcdc_input_kernel: KernelSpec = log_kernel()
     kcdc_output_kernel: KernelSpec = rational_quadratic()
-    igci_reference: IgciReference = IgciReference.GAUSSIAN
     anm_ridge: float = 1e-3
     anm_kernel: KernelSpec = rbf()
 
     def __post_init__(self):
         if self.anm_ridge <= 0:
             raise ValueError("anm ridge must be positive")
-        object.__setattr__(self, "igci_reference", IgciReference(self.igci_reference))
 
 
 def oriented(dataset: PairedDataset, direction) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +139,8 @@ def hsic(u, v, kernel: KernelSpec | None = None) -> float:
     n = u.size
     Ku = gram(kernel, u).values
     Kv = gram(kernel, v).values
-    H = centering_matrix(n)
-    value = float(((H @ Ku @ H) * Kv).sum()) / n**2
+    # Ku is symmetric, so H Ku H = center(center(Ku)^T).
+    value = float((center(center(Ku).T) * Kv).sum()) / n**2
     return max(value, 0.0)
 
 

@@ -142,8 +142,8 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     config = config or RunConfig()
     if trials < 1:
         raise ValueError("need at least 1 trial")
-    if d_max < 0:
-        raise ValueError("d_max must be nonnegative")
+    if not 0 <= d_max < n:
+        raise ValueError("d_max must lie in [0, n)")
     results = []
     for mechanism, noise in cells:
         tasks = [(mechanism, noise, n, seed ^ t, d_max, config) for t in range(trials)]

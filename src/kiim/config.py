@@ -17,12 +17,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .baselines import BaselineConfig, IgciReference
+from .baselines import BaselineConfig
 from .errors import ConfigurationError
 from .kernels import MEDIAN, KernelFamily, KernelSpec, default_composite, kernel_sum, \
     log_kernel, polynomial, product, rational_quadratic, rbf
-
-EMBEDDING_FORMS = ("alg1", "eq5")
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class RunConfig:
     energy_threshold: float = 0.9
     kernel_x: KernelSpec = default_composite("product")
     kernel_y: KernelSpec = default_composite("product")
-    embedding_form: str = "alg1"
     tie_tolerance: float = 1e-12
     rw_clip_quantile: float = 0.95
     baselines: BaselineConfig = BaselineConfig()
@@ -48,8 +45,6 @@ class RunConfig:
             raise ConfigurationError("lambda must be positive")
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ConfigurationError("energy threshold must lie in (0, 1]")
-        if self.embedding_form not in EMBEDDING_FORMS:
-            raise ConfigurationError(f"embedding form must be one of {EMBEDDING_FORMS}")
         if self.tie_tolerance < 0:
             raise ConfigurationError("tie tolerance must be nonnegative")
         if not 0.5 < self.rw_clip_quantile <= 1.0:
@@ -192,8 +187,6 @@ def build_config(settings: dict[str, str]) -> RunConfig:
             fields["kernel_x"] = parse_kernel(value)
         elif key == "kernel.y":
             fields["kernel_y"] = parse_kernel(value)
-        elif key == "embedding_form":
-            fields["embedding_form"] = value
         elif key == "tie_tolerance":
             fields["tie_tolerance"] = _convert_float(key, value)
         elif key == "rw.clip_quantile":
@@ -202,11 +195,6 @@ def build_config(settings: dict[str, str]) -> RunConfig:
             base["kcdc_input_kernel"] = parse_kernel(value)
         elif key == "kcdc.kernel_out":
             base["kcdc_output_kernel"] = parse_kernel(value)
-        elif key == "igci.reference":
-            try:
-                base["igci_reference"] = IgciReference(value.capitalize())
-            except ValueError as exc:
-                raise ConfigurationError("igci.reference must be Gaussian or Uniform") from exc
         elif key == "anm.ridge":
             base["anm_ridge"] = _convert_float(key, value)
         elif key == "anm.kernel":
@@ -226,9 +214,7 @@ def config_items(config: RunConfig) -> dict[str, str]:
     return dict(sorted({
         "anm.kernel": kernel_to_text(b.anm_kernel),
         "anm.ridge": repr(b.anm_ridge),
-        "embedding_form": config.embedding_form,
         "energy_threshold": repr(config.energy_threshold),
-        "igci.reference": b.igci_reference.value,
         "kcdc.kernel_in": kernel_to_text(b.kcdc_input_kernel),
         "kcdc.kernel_out": kernel_to_text(b.kcdc_output_kernel),
         "kernel.x": kernel_to_text(config.kernel_x),

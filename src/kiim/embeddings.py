@@ -5,12 +5,8 @@ represented by its coefficient vector a_i against the effect samples, and
 all n vectors are computed at once as the columns of one coefficient
 matrix, so one factorization serves every right-hand side.
 
-* ``ridge_factorization`` factors (K_x + lambda I); solving against K_x
-  gives the coefficients the invariance-matrix derivation is built on
-  (the pipeline default, ``embedding_form = alg1``).
-* ``cond_embedding_matrix_uncentered`` solves (H K_x + lambda n I) A = K_x.
-  The asymmetric placement of H (left of K_x only) is kept exactly as
-  configured, for comparison runs; pick it via ``embedding_form = eq5``.
+* ``ridge_factorization`` factors (K_x + lambda I) once: KIIM solves it
+  against K_y, KCDC against K_x, and ANM for its kernel ridge fit.
 * ``reweighting_vector`` and ``reweighted_cond_matrix`` give the
   importance-reweighted coefficients behind Rw-KIIM.
 """
@@ -23,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .kernels import GramMatrix, centering_matrix
+from .kernels import GramMatrix, center
 
 
 class _Factorization:
@@ -67,15 +63,6 @@ def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:
     return _Factorization(np.asarray(K, dtype=float) + shift * np.eye(K.shape[0]))
 
 
-def cond_embedding_matrix_uncentered(Kx: GramMatrix, lam: float) -> np.ndarray:
-    """Comparison form: column i solves (H K_x + lam n I) a = k_{x_i}."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    n = Kx.n
-    A = centering_matrix(n) @ Kx.values + lam * n * np.eye(n)
-    return _Factorization(A).solve(np.array(Kx.values))
-
-
 def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
     """Positive importance weights r_i = u(x_i) / p_hat(x_i) toward a uniform
     reference u on the sample range.
@@ -113,14 +100,14 @@ def _reweighted_system(Kx: GramMatrix, r: np.ndarray, lam: float):
     if lam <= 0:
         raise ValueError("lambda must be positive")
     s = np.sqrt(w)
-    H = centering_matrix(n)
-    G = H @ (s[:, None] * Kx.values * s[None, :]) @ H + lam * n * np.eye(n)
-    return s, H, _Factorization(G)
+    # R^{1/2} K_x R^{1/2} is symmetric, so H (.) H = center(center(.)^T).
+    G = center(center(s[:, None] * Kx.values * s[None, :]).T) + lam * n * np.eye(n)
+    return s, _Factorization(G)
 
 
 def reweighted_cond_matrix(Kx: GramMatrix, r: np.ndarray, lam: float) -> np.ndarray:
     """All reweighted coefficients: H R^{1/2} G^{-1} R^{1/2} H K_x with
-    G = H R^{1/2} K_x R^{1/2} H + lam n I, exactly as composed."""
-    s, H, fac = _reweighted_system(Kx, r, lam)
-    T = fac.solve(s[:, None] * (H @ Kx.values))
-    return H @ (s[:, None] * T)
+    G = H R^{1/2} K_x R^{1/2} H + lam n I."""
+    s, fac = _reweighted_system(Kx, r, lam)
+    T = fac.solve(s[:, None] * center(Kx.values))
+    return center(s[:, None] * T)

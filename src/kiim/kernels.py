@@ -189,8 +189,8 @@ def gram(spec: KernelSpec, samples) -> GramMatrix:
     return GramMatrix(values=values, spec=resolved, n=int(xs.size))
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """H = I - (1/n) 1 1^T; idempotent, annihilates the all-ones vector."""
-    if n < 1:
-        raise ValueError("centering matrix needs n >= 1")
-    return np.eye(n) - 1.0 / n
+def center(X: np.ndarray) -> np.ndarray:
+    """H X with H = I - (1/n) 1 1^T, by subtracting each column's mean."""
+    if X.shape[0] < 1:
+        raise ValueError("centering needs n >= 1")
+    return X - X.mean(axis=0)

@@ -16,10 +16,9 @@ import numpy as np
 
 from .baselines import anm_score, igci_score, kcdc_score, IgciReference, oriented
 from .config import RunConfig, config_digest
-from .embeddings import cond_embedding_matrix_uncentered, reweighted_cond_matrix, \
-    reweighting_vector, ridge_factorization
-from .errors import ConfigurationError, NumericalError
-from .kernels import GramMatrix, centering_matrix, gram
+from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
+from .errors import NumericalError
+from .kernels import GramMatrix, center, gram
 from .pairs import Direction, PairedDataset, standardize
 
 CLAMP_FACTOR = 1e-10
@@ -49,7 +48,6 @@ class Spectrum:
     clamped_count: int
     negative_count: int
     min_raw: float
-    source_dim: int
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def kiim_matrix(Kx: GramMatrix, Ky: GramMatrix, lam: float) -> np.ndarray:
     if Kx.n != Ky.n:
         raise ValueError("Gram matrices must have matching dimensions")
     T = ridge_factorization(Kx.values, lam).solve(np.array(Ky.values))
-    B = centering_matrix(Kx.n) @ (Kx.values @ T)
+    B = center(Kx.values @ T)
     M = B.T @ B
     return 0.5 * (M + M.T)
 
@@ -108,7 +106,7 @@ def matrix_from_coeffs(A: np.ndarray, Ky: GramMatrix) -> np.ndarray:
     """
     if A.shape != (Ky.n, Ky.n):
         raise ValueError("coefficient matrix must be n x n")
-    B = centering_matrix(Ky.n) @ (Ky.values @ A).T
+    B = center((Ky.values @ A).T)
     M = B.T @ B
     return 0.5 * (M + M.T)
 
@@ -131,8 +129,7 @@ def sym_eig(M) -> Spectrum:
     return Spectrum(eigenvalues=np.maximum(raw, 0.0),
                     clamped_count=int(tiny.sum()),
                     negative_count=int((negative & ~tiny).sum()),
-                    min_raw=float(raw.min()) if raw.size else 0.0,
-                    source_dim=int(M.shape[0]))
+                    min_raw=float(raw.min()) if raw.size else 0.0)
 
 
 def energy_rank_score(spectrum: Spectrum, energy_threshold: float = 0.9) -> DirectionScore:
@@ -189,11 +186,7 @@ def invariance_matrix(dataset: PairedDataset, direction, config: RunConfig,
     if reweighted:
         r = reweighting_vector(cause, clip_quantile=config.rw_clip_quantile)
         return matrix_from_coeffs(reweighted_cond_matrix(Kx, r, config.lam), Ky)
-    if config.embedding_form == "alg1":
-        return kiim_matrix(Kx, Ky, config.lam)
-    if config.embedding_form == "eq5":
-        return matrix_from_coeffs(cond_embedding_matrix_uncentered(Kx, config.lam), Ky)
-    raise ConfigurationError(f"unknown embedding form {config.embedding_form!r}")
+    return kiim_matrix(Kx, Ky, config.lam)
 
 
 def kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> DirectionScore:

@@ -157,6 +157,8 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     methods = tuple(Method(m) for m in methods)
     if not methods:
         raise ValueError("need at least one method")
+    if subsample_limit < 0:
+        raise ValueError("subsample limit must be nonnegative (0 disables subsampling)")
     usable = [p for p in pairs if not p.excluded]
     if not usable:
         raise ValueError("no usable pairs to evaluate")

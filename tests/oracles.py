@@ -52,6 +52,15 @@ def dense_kiim_matrix(kx, ky, lam):
     return 0.5 * (m + m.T)
 
 
+def dense_hsic(ku, kv):
+    """Literal tr(K_u H K_v H) / n^2 with the dense centring matrix."""
+    ku = np.asarray(ku, dtype=float)
+    kv = np.asarray(kv, dtype=float)
+    n = ku.shape[0]
+    h = centering(n)
+    return float(np.trace(ku @ h @ kv @ h)) / n**2
+
+
 def dense_reweighted_coeffs(kx, r, lam):
     """Columns a_i = H R^{1/2} (H R^{1/2} K_x R^{1/2} H + lam n I)^{-1} R^{1/2} H k_{x_i}."""
     kx = np.asarray(kx, dtype=float)

@@ -141,7 +141,7 @@ def test_criterion_6_oracle_equivalence():
         if case % 13 == 0:
             values[:] = 0.0
         spectrum = Spectrum(eigenvalues=values, clamped_count=0, negative_count=0,
-                            min_raw=float(values.min()), source_dim=n)
+                            min_raw=float(values.min()))
         result = energy_rank_score(spectrum)
         discarded, score = enumerate_energy_rank(values)
         if result.discarded_top == discarded and math.isclose(

@@ -188,6 +188,21 @@ def test_tcep_command_full_run(tcep_dir, tmp_path, capsys):
     ElementTree.parse(out / "tcep_accuracy.svg")
 
 
+def test_ablation_rejects_d_max_not_below_n(tmp_path, capsys):
+    # every trial would fail: a spectrum of n eigenvalues allows d <= n - 1
+    assert main(["ablation", "--n", "100", "--d-max", "100", "--trials", "2",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "d_max" in capsys.readouterr().err
+    assert not (tmp_path / "ablation.csv").exists()
+
+
+def test_tcep_rejects_negative_subsample_limit(tcep_dir, tmp_path, capsys):
+    assert main(["tcep", str(tcep_dir), "--subsample-limit", "-5",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "subsample limit" in capsys.readouterr().err
+    assert not (tmp_path / "tcep_pairs.csv").exists()
+
+
 def test_tcep_missing_directory(tmp_path, capsys):
     assert main(["tcep", str(tmp_path / "absent"), "--out-dir", str(tmp_path)]) == 1
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from kiim import ConfigurationError, IgciReference, KernelFamily, RunConfig, \
+from kiim import ConfigurationError, KernelFamily, RunConfig, \
     build_config, config_digest, default_composite, kernel_sum, kernel_to_text, \
     log_kernel, parse_kernel, polynomial, product, rational_quadratic, rbf, \
     read_config_file, serialize_config
@@ -110,14 +110,12 @@ def test_build_config_baseline_keys():
     config = build_config({
         "kcdc.kernel_in": "rbf:2.0",
         "kcdc.kernel_out": "log",
-        "igci.reference": "uniform",
         "anm.ridge": "0.01",
         "anm.kernel": "rq",
     })
     b = config.baselines
     assert b.kcdc_input_kernel == rbf(2.0)
     assert b.kcdc_output_kernel == log_kernel()
-    assert b.igci_reference is IgciReference.UNIFORM
     assert b.anm_ridge == 0.01
     assert b.anm_kernel == rational_quadratic()
 
@@ -129,11 +127,11 @@ def test_build_config_baseline_keys():
     {"lambda": "-1"},
     {"energy_threshold": "0"},
     {"energy_threshold": "1.5"},
-    {"embedding_form": "eq6"},
+    {"embedding_form": "eq5"},
     {"tie_tolerance": "-1e-9"},
     {"rw.clip_quantile": "0.5"},
     {"rw.clip_quantile": "1.2"},
-    {"igci.reference": "cauchy"},
+    {"igci.reference": "uniform"},
     {"anm.ridge": "-1"},
     {"kernel.x": "wat"},
 ])
@@ -142,15 +140,10 @@ def test_build_config_rejects(settings):
         build_config(settings)
 
 
-def test_run_config_accepts_eq5_form():
-    config = RunConfig(embedding_form="eq5")
-    assert config.embedding_form == "eq5"
-
-
 def test_serialize_config_is_sorted_key_value_lines():
     text = serialize_config(RunConfig())
     lines = text.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 10
     keys = [line.split(" = ")[0] for line in lines]
     assert keys == sorted(keys)
     assert text.endswith("\n")
@@ -162,7 +155,6 @@ def test_serialize_round_trips_through_build():
     config = build_config({
         "lambda": "0.02",
         "kernel.y": "sum(rbf:0.5,log)",
-        "igci.reference": "uniform",
         "tie_tolerance": "1e-10",
     })
     reparsed = {}

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from kiim import (GramMatrix, NumericalError, cond_embedding_matrix_uncentered, gram, rbf,
-                  reweighted_cond_matrix, reweighting_vector, ridge_factorization)
+from kiim import (GramMatrix, NumericalError, gram, rbf, reweighted_cond_matrix,
+                  reweighting_vector, ridge_factorization)
 
 
 def _gram_of(values):
@@ -66,23 +66,6 @@ def test_singular_solve_reports_condition():
     with pytest.raises(NumericalError) as info:
         ridge_factorization(np.ones((3, 3)) - np.eye(3), 1.0)
     assert info.value.condition_estimate > 1e12
-
-
-def test_uncentered_form_differs_from_default():
-    rng = np.random.default_rng(3)
-    K = gram(rbf(), rng.standard_normal(10))
-    A = _coeffs(K, 1e-3)
-    B = cond_embedding_matrix_uncentered(K, 1e-3)
-    assert np.abs(A - B).max() > 1e-6
-
-
-def test_uncentered_form_solves_its_system():
-    rng = np.random.default_rng(4)
-    K = gram(rbf(), rng.standard_normal(8))
-    lam = 1e-3
-    A = cond_embedding_matrix_uncentered(K, lam)
-    lhs = (oracles.centering(8) @ K.values + lam * 8 * np.eye(8)) @ A
-    assert np.abs(lhs - K.values).max() <= 1e-10
 
 
 def test_reweighting_on_uniform_grid_is_mild():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kiim import (MEDIAN, KernelSpec, KernelFamily, centering_matrix, default_composite,
+import oracles
+from kiim import (MEDIAN, KernelSpec, KernelFamily, center, default_composite,
                   gram, kernel_sum, log_kernel, median_heuristic, polynomial, product,
                   rational_quadratic, rbf, resolve)
 
@@ -131,20 +132,29 @@ def test_rbf_gram_near_psd():
 
 
 def test_centering_matrix_small_cases():
-    np.testing.assert_array_equal(centering_matrix(1), [[0.0]])
-    np.testing.assert_allclose(centering_matrix(2), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    np.testing.assert_array_equal(center(np.eye(1)), [[0.0]])
+    np.testing.assert_allclose(center(np.eye(2)), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
     with pytest.raises(ValueError):
-        centering_matrix(0)
+        center(np.eye(0))
 
 
 def test_centering_matrix_annihilates_ones():
-    h = centering_matrix(5)
+    h = center(np.eye(5))
     assert np.abs(h @ np.ones(5)).max() <= 1e-15
+    np.testing.assert_array_equal(center(np.full((5, 3), 2.5)), np.zeros((5, 3)))
 
 
 def test_centering_matrix_idempotent_rank():
-    h = centering_matrix(9)
+    h = center(np.eye(9))
     assert np.abs(h @ h - h).max() <= 1e-12
     eig = np.sort(np.linalg.eigvalsh(h))
     assert eig[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(eig[1:], 1.0, atol=1e-12)
+
+
+def test_center_matches_centering_oracle():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 9):
+        X = rng.standard_normal((n, 4))
+        np.testing.assert_allclose(center(X), oracles.centering(n) @ X, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(center(center(X)), center(X), rtol=0, atol=1e-14)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from kiim import (Direction, GramMatrix, Method, PairedDataset, RunConfig, Spectrum,
+from kiim import (Direction, GramMatrix, MechanismSpec, Method, PairedDataset, RunConfig,
+                  Spectrum, generate, table1_grid,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
                   invariance_matrix, kiim_matrix, kiim_score, matrix_from_coeffs,
                   rank_ablation, rbf, rw_kiim_score, sym_eig)
@@ -19,7 +20,7 @@ def _gram_of(values):
 def _spectrum(vals):
     arr = np.array(sorted(vals, reverse=True), dtype=float)
     return Spectrum(eigenvalues=arr, clamped_count=0, negative_count=0,
-                    min_raw=float(arr.min()), source_dim=arr.size)
+                    min_raw=float(arr.min()))
 
 
 def _random_dataset(seed, n=8):
@@ -80,7 +81,6 @@ def test_sym_eig_diagonal():
     s = sym_eig(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(s.eigenvalues, [3.0, 2.0, 1.0], atol=1e-12)
     assert s.clamped_count == 0 and s.negative_count == 0
-    assert s.source_dim == 3
 
 
 def test_sym_eig_flags_true_negative():
@@ -168,6 +168,17 @@ def test_energy_rule_matches_enumeration():
         assert s.discarded_top == d
         assert s.score == pytest.approx(score, abs=1e-12)
         assert 0.0 <= s.retained_energy_ratio <= 1.0
+
+
+def test_energy_rule_discards_nothing_at_default_threshold():
+    # Pins an open question: at energy_threshold = 0.9 the top eigenvalue of
+    # every grid score holds more than 10% of the energy, so the rule keeps
+    # the whole spectrum and the score is trace(M) / n.
+    for mechanism, noise in table1_grid():
+        for seed in range(3):
+            ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=100, seed=seed))
+            for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
+                assert kiim_score(ds, direction).discarded_top == 0
 
 
 def test_fixed_discard_enumeration_example():
@@ -264,13 +275,6 @@ def test_invariance_matrix_psd_property():
             m = invariance_matrix(ds, Direction.X_TO_Y, RunConfig(), reweighted=reweighted)
             eig = np.linalg.eigvalsh(m)
             assert eig.min() >= -1e-10 * max(np.trace(m), 1.0)
-
-
-def test_embedding_form_switch_changes_matrix():
-    ds = _random_dataset(6, n=20)
-    default = invariance_matrix(ds, Direction.X_TO_Y, RunConfig())
-    eq5 = invariance_matrix(ds, Direction.X_TO_Y, RunConfig(embedding_form="eq5"))
-    assert np.abs(default - eq5).max() > 1e-8
 
 
 def test_rw_kiim_score_runs_and_differs():
