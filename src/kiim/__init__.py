@@ -11,7 +11,7 @@ from .config import RunConfig, build_config, config_digest, kernel_to_text, pars
     read_config_file, serialize_config
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
-from .kernels import MEDIAN, GramMatrix, KernelFamily, KernelSpec, center, \
+from .kernels import MEDIAN, KernelFamily, KernelSpec, center, \
     default_composite, gram, kernel_sum, log_kernel, median_heuristic, polynomial, product, \
     rational_quadratic, rbf, resolve
 from .pairs import Direction, PairedDataset, load_pair_dataset, read_pair_file, \

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .embeddings import ridge_factorization
-from .kernels import GramMatrix, KernelSpec, center, gram, log_kernel, \
-    rational_quadratic, rbf
+from .kernels import KernelSpec, center, gram, log_kernel, rational_quadratic, rbf
 from .pairs import Direction, PairedDataset, standardize
 
 
@@ -53,16 +52,16 @@ def oriented(dataset: PairedDataset, direction) -> tuple[np.ndarray, np.ndarray]
     raise ValueError("direction must be XtoY or YtoX")
 
 
-def kcdc_deviance(Kx: GramMatrix, Ky: GramMatrix, lam: float) -> float:
+def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
     """Population variance of the conditional-embedding norms.
 
     Norm i is sqrt(max(0, a_i^T K_y a_i)) with a_i = (K_x + lam I)^{-1} k_{x_i};
     the guard exists because the log input kernel is not positive definite.
     """
-    if Kx.n != Ky.n:
+    if Kx.shape != Ky.shape:
         raise ValueError("Gram matrices must have matching dimensions")
-    A = ridge_factorization(Kx.values, lam).solve(np.array(Kx.values))
-    sq = np.einsum("ij,ij->j", Ky.values @ A, A)
+    A = ridge_factorization(Kx, lam).solve(Kx)
+    sq = np.einsum("ij,ij->j", Ky @ A, A)
     norms = np.sqrt(np.maximum(sq, 0.0))
     return float(norms.var())
 
@@ -137,8 +136,8 @@ def hsic(u, v, kernel: KernelSpec | None = None) -> float:
     if u.size < 5:
         raise ValueError("independence statistic needs at least 5 samples")
     n = u.size
-    Ku = gram(kernel, u).values
-    Kv = gram(kernel, v).values
+    Ku = gram(kernel, u)
+    Kv = gram(kernel, v)
     # Ku is symmetric, so H Ku H = center(center(Ku)^T).
     value = float((center(center(Ku).T) * Kv).sum()) / n**2
     return max(value, 0.0)
@@ -157,7 +156,7 @@ def anm_score(dataset: PairedDataset, direction, config: BaselineConfig | None =
     cause, effect = oriented(dataset, direction)
     x = standardize(cause)
     y = standardize(effect)
-    K = gram(config.anm_kernel, x).values
+    K = gram(config.anm_kernel, x)
     alpha = ridge_factorization(K, config.anm_ridge).solve(y)
     residual = y - K @ alpha
     # Fixed unit bandwidth: the median heuristic would rescale the residuals

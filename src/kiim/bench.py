@@ -2,8 +2,8 @@
 
 Each (mechanism, noise) cell runs ``trials`` independent datasets; trial
 t uses seed ``base_seed XOR t`` so cells share draws and reruns are
-reproducible. A trial is correct when the inferred direction matches the
-generator's ground truth; Undecided and in-trial failures count as
+reproducible. A trial is correct when the inferred direction is XtoY, the
+generator's causal direction; Undecided and in-trial failures count as
 incorrect (failures are also logged and tallied).
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .errors import TRIAL_ERRORS, ConfigurationError
 from .pairs import Direction
-from .scoring import Method, infer_direction, rank_ablation
+from .scoring import Method, check_sample_size, infer_direction, rank_ablation
 from .synthdata import Mechanism, MechanismSpec, Noise, generate, table1_grid
 
 log = logging.getLogger(__name__)
@@ -126,6 +126,7 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
     methods = tuple(Method(m) for m in methods)
     if not methods:
         raise ValueError("need at least one method")
+    check_sample_size(methods, n)
     results = []
     for mechanism, noise in cells:
         for method in methods:
@@ -144,6 +145,7 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
         raise ValueError("need at least 1 trial")
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
+    check_sample_size((Method.KIIM,), n)
     results = []
     for mechanism, noise in cells:
         tasks = [(mechanism, noise, n, seed ^ t, d_max, config) for t in range(trials)]

@@ -113,7 +113,7 @@ def cmd_infer(args) -> int:
         "schema": SCHEMA_VERSION,
         "direction": decision.direction.value,
         "method": decision.method.value,
-        "config_digest": decision.config_digest,
+        "config_digest": config_digest(config),
         "n": dataset.n,
         "score_xy": _score_payload(decision.score_xy),
         "score_yx": _score_payload(decision.score_yx),

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .kernels import GramMatrix, center
+from .kernels import center
 
 
 class _Factorization:
@@ -89,9 +89,9 @@ def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
     return r
 
 
-def _reweighted_system(Kx: GramMatrix, r: np.ndarray, lam: float):
+def _reweighted_system(Kx: np.ndarray, r: np.ndarray, lam: float):
     # A function of its own so that G is freed before the caller's solve.
-    n = Kx.n
+    n = Kx.shape[0]
     w = np.asarray(r, dtype=float).ravel()
     if w.shape[0] != n:
         raise ValueError("reweighting length does not match Gram dimension")
@@ -101,13 +101,13 @@ def _reweighted_system(Kx: GramMatrix, r: np.ndarray, lam: float):
         raise ValueError("lambda must be positive")
     s = np.sqrt(w)
     # R^{1/2} K_x R^{1/2} is symmetric, so H (.) H = center(center(.)^T).
-    G = center(center(s[:, None] * Kx.values * s[None, :]).T) + lam * n * np.eye(n)
+    G = center(center(s[:, None] * Kx * s[None, :]).T) + lam * n * np.eye(n)
     return s, _Factorization(G)
 
 
-def reweighted_cond_matrix(Kx: GramMatrix, r: np.ndarray, lam: float) -> np.ndarray:
+def reweighted_cond_matrix(Kx: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     """All reweighted coefficients: H R^{1/2} G^{-1} R^{1/2} H K_x with
     G = H R^{1/2} K_x R^{1/2} H + lam n I."""
     s, fac = _reweighted_system(Kx, r, lam)
-    T = fac.solve(s[:, None] * center(Kx.values))
+    T = fac.solve(s[:, None] * center(Kx))
     return center(s[:, None] * T)

@@ -3,16 +3,18 @@
 The default pipeline kernel is the elementwise product of an RBF kernel
 (median-heuristic bandwidth), a log kernel and a rational quadratic kernel.
 Note that this product has a zero diagonal (the log factor vanishes at
-distance 0) and is therefore not positive definite; ``CompositeSum`` is kept
-as a configurable fallback for experiments that need a PSD surrogate, but
-the default pipeline uses the product form.
+distance 0) and is therefore not positive definite; the sum composite
+(``kernel_sum``) is kept as a configurable alternative, but the default
+pipeline uses the product form.
 
-All inputs are scalar observations; kernels are evaluated on 1-D samples.
+All inputs are scalar observations; kernels are evaluated on 1-D samples,
+and ``gram`` returns a plain read-only n x n array.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,15 +111,6 @@ def default_composite(mode: str = "product") -> KernelSpec:
     raise ConfigurationError(f"unknown composite mode {mode!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """n x n matrix of kernel evaluations with its (resolved) provenance spec."""
-
-    values: np.ndarray
-    spec: KernelSpec
-    n: int
-
-
 def median_heuristic(samples) -> float:
     """Median of pairwise Euclidean distances over distinct index pairs.
 
@@ -158,35 +151,27 @@ def _evaluate(spec: KernelSpec, a, b):
         return 1.0 - d2 / (d2 + 1.0)
     if fam is KernelFamily.POLYNOMIAL:
         return (a * b + 1.0) ** spec.degree
-    if fam is KernelFamily.COMPOSITE_PRODUCT:
-        out = _evaluate(spec.parts[0], a, b)
-        for part in spec.parts[1:]:
-            out = out * _evaluate(part, a, b)
-        return out
-    if fam is KernelFamily.COMPOSITE_SUM:
-        out = _evaluate(spec.parts[0], a, b)
-        for part in spec.parts[1:]:
-            out = out + _evaluate(part, a, b)
-        return out
+    if fam in _COMPOSITES:
+        combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
+        return functools.reduce(combine, (_evaluate(part, a, b) for part in spec.parts))
     raise ConfigurationError(f"unknown kernel family {fam!r}")
 
 
-def gram(spec: KernelSpec, samples) -> GramMatrix:
-    """Symmetric Gram matrix of kernel evaluations over a sample sequence.
+def gram(spec: KernelSpec, samples) -> np.ndarray:
+    """Read-only symmetric n x n Gram matrix of kernel evaluations.
 
     Median-heuristic bandwidths are resolved against ``samples`` first. The
-    upper triangle is evaluated once and mirrored, so the result equals its
-    transpose bit-for-bit.
+    result equals its transpose bit-for-bit without mirroring: every family
+    is evaluated from x - x' (which swapping the points negates exactly and
+    which enters only squared) or from the commutative product x x', and
+    composites combine their parts elementwise.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("gram needs a nonempty sample sequence")
-    resolved = resolve(spec, xs)
-    full = np.asarray(_evaluate(resolved, xs[:, None], xs[None, :]), dtype=float)
-    upper = np.triu(full)
-    values = upper + np.triu(full, k=1).T
+    values = np.asarray(_evaluate(resolve(spec, xs), xs[:, None], xs[None, :]), dtype=float)
     values.setflags(write=False)
-    return GramMatrix(values=values, spec=resolved, n=int(xs.size))
+    return values
 
 
 def center(X: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Paired scalar observations: the unit of pairwise causal inference.
 
-Also holds the two-column text format shared by exported synthetic datasets
-and the cause-effect benchmark files.
+Also holds the whitespace-separated text format of pair files: the files
+that ``infer`` reads and the cause-effect benchmark's pair files.
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ class Direction(str, Enum):
     Y_TO_X = "YtoX"
     UNDECIDED = "Undecided"
 
-    def flipped(self) -> "Direction":
-        if self is Direction.X_TO_Y:
-            return Direction.Y_TO_X
-        if self is Direction.Y_TO_X:
-            return Direction.X_TO_Y
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class PairedDataset:
@@ -34,8 +27,6 @@ class PairedDataset:
 
     xs: np.ndarray
     ys: np.ndarray
-    provenance: object = "unspecified"
-    ground_truth: Direction | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float).ravel()
@@ -55,18 +46,12 @@ class PairedDataset:
     def n(self) -> int:
         return int(self.xs.size)
 
-    def swapped(self) -> "PairedDataset":
-        """Exchange the two variables (ground truth flips with them)."""
-        truth = self.ground_truth.flipped() if self.ground_truth is not None else None
-        return PairedDataset(self.ys, self.xs, provenance=self.provenance, ground_truth=truth)
-
     def subsampled(self, size: int, rng: np.random.Generator) -> "PairedDataset":
         """Uniform subsample without replacement, original order preserved."""
         if size >= self.n:
             return self
         idx = np.sort(rng.choice(self.n, size=size, replace=False))
-        return PairedDataset(self.xs[idx], self.ys[idx],
-                             provenance=self.provenance, ground_truth=self.ground_truth)
+        return PairedDataset(self.xs[idx], self.ys[idx])
 
 
 def standardize(values) -> np.ndarray:
@@ -114,7 +99,7 @@ def load_pair_dataset(path) -> PairedDataset:
     table = read_pair_file(path)
     if table.shape[1] < 2:
         raise IngestionError("pair file needs at least two columns", path=str(path))
-    return PairedDataset(table[:, 0], table[:, 1], provenance=str(path))
+    return PairedDataset(table[:, 0], table[:, 1])
 
 
 def write_pair_text(path, dataset: PairedDataset) -> None:

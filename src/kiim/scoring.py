@@ -15,10 +15,10 @@ from enum import Enum
 import numpy as np
 
 from .baselines import anm_score, igci_score, kcdc_score, IgciReference, oriented
-from .config import RunConfig, config_digest
+from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import NumericalError
-from .kernels import GramMatrix, center, gram
+from .kernels import center, gram
 from .pairs import Direction, PairedDataset, standardize
 
 CLAMP_FACTOR = 1e-10
@@ -31,6 +31,19 @@ class Method(str, Enum):
     IGCI_GAUSS = "IGCIGauss"
     IGCI_UNIFORM = "IGCIUniform"
     ANM = "ANM"
+
+
+#: Fewest paired samples each method can score; fewer always raise.
+MIN_SAMPLES = {Method.KIIM: 5, Method.RW_KIIM: 5, Method.KCDC: 5,
+               Method.IGCI_GAUSS: 10, Method.IGCI_UNIFORM: 10, Method.ANM: 10}
+
+
+def check_sample_size(methods, n: int) -> None:
+    """Reject a sample size at which a method would fail every dataset."""
+    for method in methods:
+        if n < MIN_SAMPLES[method]:
+            raise ValueError(f"{method.value} needs at least {MIN_SAMPLES[method]} "
+                             f"paired samples, got {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +82,6 @@ class CausalDecision:
     score_xy: DirectionScore
     score_yx: DirectionScore
     method: Method
-    config_digest: str
 
 
 @dataclass(frozen=True)
@@ -82,33 +94,30 @@ class AblationPoint:
     direction: Direction
 
 
-def kiim_matrix(Kx: GramMatrix, Ky: GramMatrix, lam: float) -> np.ndarray:
+def kiim_matrix(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
     """Invariance matrix K_y (K_x+lam I)^{-1} K_x H K_x (K_x+lam I)^{-1} K_y.
 
     Assembled as B^T B with B = H K_x (K_x+lam I)^{-1} K_y (valid because
-    H = H^T H), which keeps the result symmetric PSD up to roundoff; the
-    average with its transpose is returned.
+    H = H^T H), which keeps the result symmetric PSD up to roundoff;
+    ``sym_eig`` symmetrizes it exactly.
     """
-    if Kx.n != Ky.n:
+    if Kx.shape != Ky.shape:
         raise ValueError("Gram matrices must have matching dimensions")
-    T = ridge_factorization(Kx.values, lam).solve(np.array(Ky.values))
-    B = center(Kx.values @ T)
-    M = B.T @ B
-    return 0.5 * (M + M.T)
+    B = center(Kx @ ridge_factorization(Kx, lam).solve(Ky))
+    return B.T @ B
 
 
-def matrix_from_coeffs(A: np.ndarray, Ky: GramMatrix) -> np.ndarray:
+def matrix_from_coeffs(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
     """Invariance matrix from an explicit coefficient matrix.
 
     Column i of A holds the conditional-embedding coefficients a_i; with
     C = K_y A the matrix is C H C^T, the scatter of the embeddings after
     centering, pulled back through the effect Gram matrix.
     """
-    if A.shape != (Ky.n, Ky.n):
+    if A.shape != Ky.shape:
         raise ValueError("coefficient matrix must be n x n")
-    B = center((Ky.values @ A).T)
-    M = B.T @ B
-    return 0.5 * (M + M.T)
+    B = center((Ky @ A).T)
+    return B.T @ B
 
 
 def sym_eig(M) -> Spectrum:
@@ -140,21 +149,15 @@ def energy_rank_score(spectrum: Spectrum, energy_threshold: float = 0.9) -> Dire
     the total; the score is that suffix sum divided by n.
     """
     eig = spectrum.eigenvalues
-    n = eig.size
-    if n == 0:
+    if eig.size == 0:
         raise ValueError("empty spectrum")
     if not 0.0 < energy_threshold <= 1.0:
         raise ValueError("energy threshold must lie in (0, 1]")
     tails = np.cumsum(eig[::-1])[::-1]
-    total = float(tails[0])
-    if total <= 0.0:
-        return DirectionScore(score=0.0, retained_count=n,
-                              retained_energy_ratio=1.0, discarded_top=0)
-    start = int(np.nonzero(tails >= energy_threshold * total)[0].max())
-    retained = float(tails[start])
-    return DirectionScore(score=retained / n, retained_count=n - start,
-                          retained_energy_ratio=min(retained / total, 1.0),
-                          discarded_top=start)
+    start = 0
+    if tails[0] > 0.0:
+        start = int(np.nonzero(tails >= energy_threshold * tails[0])[0].max())
+    return fixed_discard_score(spectrum, start)
 
 
 def fixed_discard_score(spectrum: Spectrum, discard: int) -> DirectionScore:
@@ -163,8 +166,9 @@ def fixed_discard_score(spectrum: Spectrum, discard: int) -> DirectionScore:
     n = eig.size
     if not 0 <= discard < n:
         raise ValueError("discard count must lie in [0, n)")
-    retained = float(eig[discard:].sum())
-    total = float(eig.sum())
+    tails = np.cumsum(eig[::-1])[::-1]
+    retained = float(tails[discard])
+    total = float(tails[0])
     return DirectionScore(score=retained / n, retained_count=n - discard,
                           retained_energy_ratio=min(retained / total, 1.0) if total > 0 else 1.0,
                           discarded_top=discard)
@@ -240,8 +244,7 @@ def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = N
     score_xy = direction_score(dataset, Direction.X_TO_Y, method, config)
     score_yx = direction_score(dataset, Direction.Y_TO_X, method, config)
     return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
-                          score_xy=score_xy, score_yx=score_yx, method=method,
-                          config_digest=config_digest(config))
+                          score_xy=score_xy, score_yx=score_yx, method=method)
 
 
 def rank_ablation(dataset: PairedDataset, d_max: int,

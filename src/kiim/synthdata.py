@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .pairs import Direction, PairedDataset
+from .pairs import PairedDataset
 
 _CNM_RETRIES = 100
 
@@ -101,7 +101,8 @@ def _cnm_base(x: np.ndarray) -> np.ndarray:
 
 
 def generate(spec: MechanismSpec, cause_sampler=None, noise_sampler=None) -> PairedDataset:
-    """Draw one dataset; deterministic given the spec.
+    """Draw one dataset; deterministic given the spec. ``xs`` holds the cause,
+    so XtoY is the true direction.
 
     ``cause_sampler`` and ``noise_sampler`` are test hooks with signature
     (rng, size) -> array, replacing the default draws.
@@ -133,4 +134,4 @@ def generate(spec: MechanismSpec, cause_sampler=None, noise_sampler=None) -> Pai
         y = (np.sin(10.0 * x) + np.exp(3.0 * x)) * np.exp(eps)
     else:
         y = base**eps
-    return PairedDataset(xs=x, ys=y, provenance=spec, ground_truth=Direction.X_TO_Y)
+    return PairedDataset(xs=x, ys=y)

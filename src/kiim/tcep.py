@@ -23,7 +23,7 @@ from .bench import run_tasks
 from .config import RunConfig
 from .errors import TRIAL_ERRORS, IngestionError
 from .pairs import Direction, PairedDataset, read_pair_file
-from .scoring import Method, infer_direction
+from .scoring import Method, check_sample_size, infer_direction
 
 MULTIVARIATE_IDS = frozenset({52, 53, 54, 55, 71, 105})
 MISSING_VALUE_IDS = frozenset({81, 82, 83})
@@ -34,7 +34,6 @@ NO_GROUND_TRUTH_IDS = frozenset({86})
 class TcepPair:
     id: int
     dataset: PairedDataset | None
-    ground_truth: Direction | None
     weight: float
     excluded: bool
     exclusion_reason: str | None = None
@@ -120,13 +119,11 @@ def load_tcep(directory) -> tuple[TcepPair, ...]:
             if pid in MISSING_VALUE_IDS or not (np.isfinite(xs).all() and np.isfinite(ys).all()):
                 reason = "missing values"
         if reason is not None:
-            pairs.append(TcepPair(id=pid, dataset=None, ground_truth=None, weight=weight,
-                                  excluded=True, exclusion_reason=reason))
+            pairs.append(TcepPair(id=pid, dataset=None, weight=weight, excluded=True,
+                                  exclusion_reason=reason))
         else:
-            dataset = PairedDataset(xs, ys, provenance=str(data_path),
-                                    ground_truth=Direction.X_TO_Y)
-            pairs.append(TcepPair(id=pid, dataset=dataset, ground_truth=Direction.X_TO_Y,
-                                  weight=weight, excluded=False))
+            pairs.append(TcepPair(id=pid, dataset=PairedDataset(xs, ys), weight=weight,
+                                  excluded=False))
     return tuple(pairs)
 
 
@@ -159,6 +156,8 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
         raise ValueError("need at least one method")
     if subsample_limit < 0:
         raise ValueError("subsample limit must be nonnegative (0 disables subsampling)")
+    if subsample_limit:
+        check_sample_size(methods, subsample_limit)
     usable = [p for p in pairs if not p.excluded]
     if not usable:
         raise ValueError("no usable pairs to evaluate")

@@ -80,8 +80,8 @@ def verify_lemma1(samples, spec: KernelSpec) -> tuple[float, float, float]:
     s = np.asarray(samples, dtype=float).ravel()
     if s.size == 0:
         raise ValueError("need a nonempty sample set")
-    norm_p = float(gram(spec, s).values.mean())
-    norm_q = float(gram(spec, -s).values.mean())
+    norm_p = float(gram(spec, s).mean())
+    norm_q = float(gram(spec, -s).mean())
     return norm_p, norm_q, abs(norm_p - norm_q)
 
 

@@ -127,7 +127,7 @@ def test_criterion_6_oracle_equivalence():
         Kx = gram(config.kernel_x, standardize(xs))
         Ky = gram(config.kernel_y, standardize(ys))
         M = kiim_matrix(Kx, Ky, config.lam)
-        dense = dense_kiim_matrix(np.array(Kx.values), np.array(Ky.values), config.lam)
+        dense = dense_kiim_matrix(np.array(Kx), np.array(Ky), config.lam)
         worst_matrix = max(worst_matrix, float(np.abs(M - dense).max()))
         score = kiim_score(PairedDataset(xs, ys), Direction.X_TO_Y).score
         worst_score = max(worst_score, abs(score - brute_force_kiim_score(xs, ys)))

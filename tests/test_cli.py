@@ -196,6 +196,21 @@ def test_ablation_rejects_d_max_not_below_n(tmp_path, capsys):
     assert not (tmp_path / "ablation.csv").exists()
 
 
+@pytest.mark.parametrize("argv,method,report", [
+    (["synthetic", "--methods", "kiim,anm", "--n", "7", "--trials", "2"], "ANM", "synthetic.csv"),
+    (["ablation", "--n", "4", "--d-max", "2", "--trials", "2"], "KIIM", "ablation.csv"),
+    (["tcep", "TCEP_DIR", "--methods", "kiim,anm", "--subsample-limit", "7"], "ANM",
+     "tcep_pairs.csv"),
+])
+def test_runs_reject_sizes_a_method_cannot_score(argv, method, report, tcep_dir, tmp_path,
+                                                 capsys):
+    # below its minimum the method would fail on every dataset of the run
+    argv = [str(tcep_dir) if a == "TCEP_DIR" else a for a in argv]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert f"{method} needs at least" in capsys.readouterr().err
+    assert not (tmp_path / report).exists()
+
+
 def test_tcep_rejects_negative_subsample_limit(tcep_dir, tmp_path, capsys):
     assert main(["tcep", str(tcep_dir), "--subsample-limit", "-5",
                  "--out-dir", str(tmp_path)]) == 1

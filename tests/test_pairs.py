@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from kiim import Direction, IngestionError, PairedDataset, load_pair_dataset, \
+from kiim import IngestionError, PairedDataset, load_pair_dataset, \
     read_pair_file, standardize, write_pair_text
-
-
-def test_direction_flipped():
-    assert Direction.X_TO_Y.flipped() is Direction.Y_TO_X
-    assert Direction.Y_TO_X.flipped() is Direction.X_TO_Y
-    assert Direction.UNDECIDED.flipped() is Direction.UNDECIDED
 
 
 def test_dataset_validation():
@@ -24,14 +18,6 @@ def test_dataset_arrays_are_frozen():
     ds = PairedDataset([1.0, 2.0], [3.0, 4.0])
     with pytest.raises(ValueError):
         ds.xs[0] = 9.0
-
-
-def test_swapped_flips_ground_truth():
-    ds = PairedDataset([1.0, 2.0], [3.0, 4.0], ground_truth=Direction.X_TO_Y)
-    sw = ds.swapped()
-    np.testing.assert_array_equal(sw.xs, ds.ys)
-    np.testing.assert_array_equal(sw.ys, ds.xs)
-    assert sw.ground_truth is Direction.Y_TO_X
 
 
 def test_subsampled_keeps_alignment_and_order():

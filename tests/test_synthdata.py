@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kiim import Direction, Mechanism, MechanismSpec, Noise, generate, table1_grid
+from kiim import Mechanism, MechanismSpec, Noise, generate, table1_grid
 from kiim.errors import ConfigurationError
 
 CAUSE = np.array([0.5, -0.3, 1.2, -1.1, 0.05, 2.0])
@@ -42,13 +42,6 @@ def test_distinct_seeds_differ():
     a = generate(MechanismSpec(Mechanism.ANM1, Noise.GAUSSIAN, n=64, seed=0))
     b = generate(MechanismSpec(Mechanism.ANM1, Noise.GAUSSIAN, n=64, seed=1))
     assert not np.array_equal(a.xs, b.xs)
-
-
-def test_ground_truth_and_provenance():
-    spec = MechanismSpec(Mechanism.ANM1, Noise.GAUSSIAN, n=16, seed=5)
-    ds = generate(spec)
-    assert ds.ground_truth is Direction.X_TO_Y
-    assert ds.provenance == spec
 
 
 def test_zero_noise_anm2_reproduces_cause():

@@ -42,11 +42,7 @@ def test_fixture_counts_and_reasons(tcep_dir):
 
 def test_excluded_pairs_carry_no_dataset(tcep_dir):
     for pair in load_tcep(tcep_dir):
-        if pair.excluded:
-            assert pair.dataset is None and pair.ground_truth is None
-        else:
-            assert pair.dataset is not None
-            assert pair.ground_truth is Direction.X_TO_Y
+        assert (pair.dataset is None) == pair.excluded
 
 
 def test_metadata_orients_reversed_columns(tcep_dir):
@@ -199,7 +195,7 @@ def test_evaluate_requires_methods_and_usable_pairs(tmp_path):
     pairs = load_tcep(root)
     with pytest.raises(ValueError):
         evaluate_tcep(pairs, [])
-    only_excluded = [TcepPair(id=1, dataset=None, ground_truth=None, weight=1.0,
+    only_excluded = [TcepPair(id=1, dataset=None, weight=1.0,
                               excluded=True, exclusion_reason="multivariate")]
     with pytest.raises(ValueError):
         evaluate_tcep(only_excluded, [Method.KIIM])
