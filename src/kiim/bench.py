@@ -70,9 +70,12 @@ def parse_cells(text: str) -> tuple[tuple[Mechanism, Noise], ...]:
         if not sep:
             raise ConfigurationError(f"cell {item!r} must look like ANM1:Gaussian")
         try:
-            cells.append((Mechanism(name.strip()), Noise(noise.strip())))
+            cell = (Mechanism(name.strip()), Noise(noise.strip()))
         except ValueError as exc:
             raise ConfigurationError(f"unknown cell {item!r}") from exc
+        if cell not in table1_grid():
+            raise ConfigurationError(f"cell {item!r} is not in the benchmark grid")
+        cells.append(cell)
     if not cells:
         raise ConfigurationError("empty cell selection")
     return tuple(cells)
@@ -117,12 +120,18 @@ def _run_cell(tasks, worker, jobs: int) -> tuple[list, int]:
     return [value for value, _ in outcomes], len(failures)
 
 
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least 1 trial")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
                   config: RunConfig | None = None, jobs: int = 1) -> tuple[CellResult, ...]:
     """Accuracy per (cell, method) over seeded independent trials."""
     config = config or RunConfig()
-    if trials < 1:
-        raise ValueError("need at least 1 trial")
+    _check_run(trials, seed)
     methods = tuple(Method(m) for m in methods)
     if not methods:
         raise ValueError("need at least one method")
@@ -141,8 +150,7 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
                  config: RunConfig | None = None, jobs: int = 1) -> tuple[AblationCellResult, ...]:
     """Accuracy per (cell, fixed discard count d) for d = 0..d_max."""
     config = config or RunConfig()
-    if trials < 1:
-        raise ValueError("need at least 1 trial")
+    _check_run(trials, seed)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
     check_sample_size((Method.KIIM,), n)

@@ -8,6 +8,7 @@ error, 2 Undecided (infer only), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -27,17 +28,9 @@ from .scoring import Method, infer_direction
 from .tcep import evaluate_tcep, load_tcep
 from .theory import FiniteBasisDensity, construct_equal_norm_density, verify_lemma1
 
-_METHOD_ALIASES = {
-    "kiim": Method.KIIM,
-    "rw-kiim": Method.RW_KIIM,
-    "rwkiim": Method.RW_KIIM,
-    "kcdc": Method.KCDC,
-    "igci-gauss": Method.IGCI_GAUSS,
-    "igcigauss": Method.IGCI_GAUSS,
-    "igci-uniform": Method.IGCI_UNIFORM,
-    "igciuniform": Method.IGCI_UNIFORM,
-    "anm": Method.ANM,
-}
+_METHOD_ALIASES = {m.value.lower(): m for m in Method} | {
+    "rw-kiim": Method.RW_KIIM, "igci-gauss": Method.IGCI_GAUSS,
+    "igci-uniform": Method.IGCI_UNIFORM}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +48,7 @@ def parse_method(name: str) -> Method:
 
 
 def parse_methods(text: str) -> tuple[Method, ...]:
-    methods = tuple(parse_method(item) for item in text.split(","))
-    seen = []
-    for m in methods:
-        if m not in seen:
-            seen.append(m)
-    return tuple(seen)
+    return tuple(dict.fromkeys(parse_method(item) for item in text.split(",")))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -97,12 +85,12 @@ def _out_dir(args) -> Path:
 
 
 def _score_payload(score) -> dict:
-    payload = {"score": score.score}
-    if score.retained_count is not None:
-        payload["retained_count"] = score.retained_count
-        payload["retained_energy_ratio"] = score.retained_energy_ratio
-        payload["discarded_top"] = score.discarded_top
-    return payload
+    return {k: v for k, v in dataclasses.asdict(score).items() if v is not None}
+
+
+def _write_records(path, records: list[dict]) -> None:
+    """CSV of report records: their keys are the header, their values a row each."""
+    write_csv(path, list(records[0]), [tuple(r.values()) for r in records])
 
 
 def cmd_infer(args) -> int:
@@ -131,18 +119,13 @@ def cmd_synthetic(args) -> int:
                             seed=args.seed, config=config, jobs=args.jobs)
     elapsed = time.monotonic() - started
     out = _out_dir(args)
-    rows = [(r.mechanism, r.noise, r.method, r.trials, r.correct, r.errors,
-             r.accuracy, r.accuracy_std) for r in results]
-    write_csv(out / "synthetic.csv",
-              ["mechanism", "noise", "method", "trials", "correct", "errors",
-               "accuracy", "accuracy_std"], rows)
+    records = [{**dataclasses.asdict(r), "accuracy": r.accuracy,
+                "accuracy_std": r.accuracy_std} for r in results]
+    _write_records(out / "synthetic.csv", records)
     write_json_summary(out / "synthetic.json", _summary("synthetic", config, args.seed, elapsed, {
         "trials": args.trials,
         "n": args.n,
-        "results": [{"mechanism": r.mechanism.value, "noise": r.noise.value,
-                     "method": r.method.value, "trials": r.trials, "correct": r.correct,
-                     "errors": r.errors, "accuracy": r.accuracy,
-                     "accuracy_std": r.accuracy_std} for r in results],
+        "results": records,
     }))
     for r in results:
         print(f"{r.mechanism.value:5s} {r.noise.value:15s} {r.method.value:11s} "
@@ -172,10 +155,7 @@ def cmd_tcep(args) -> int:
         "usable": report.usable,
         "exclusions": [{"pair_id": p.id, "reason": p.exclusion_reason}
                        for p in pairs if p.excluded],
-        "accuracies": [{"method": a.method.value, "evaluated": a.evaluated,
-                        "correct": a.correct, "accuracy": a.accuracy,
-                        "weighted_accuracy": a.weighted_accuracy}
-                       for a in report.accuracies],
+        "accuracies": [dataclasses.asdict(a) for a in report.accuracies],
     }))
     write_bar_chart(out / "tcep_accuracy.svg", "Benchmark accuracy by method",
                     [a.method.value for a in report.accuracies],
@@ -198,19 +178,13 @@ def cmd_ablation(args) -> int:
                            seed=args.seed, config=config, jobs=args.jobs)
     elapsed = time.monotonic() - started
     out = _out_dir(args)
-    rows = [(r.mechanism, r.noise, r.discarded_top, r.trials, r.correct, r.errors,
-             r.accuracy) for r in results]
-    write_csv(out / "ablation.csv",
-              ["mechanism", "noise", "discarded_top", "trials", "correct", "errors",
-               "accuracy"], rows)
+    records = [{**dataclasses.asdict(r), "accuracy": r.accuracy} for r in results]
+    _write_records(out / "ablation.csv", records)
     write_json_summary(out / "ablation.json", _summary("ablation", config, args.seed, elapsed, {
         "trials": args.trials,
         "n": args.n,
         "d_max": args.d_max,
-        "results": [{"mechanism": r.mechanism.value, "noise": r.noise.value,
-                     "discarded_top": r.discarded_top, "trials": r.trials,
-                     "correct": r.correct, "errors": r.errors, "accuracy": r.accuracy}
-                    for r in results],
+        "results": records,
     }))
     series: dict[str, list[float]] = {}
     for r in results:
@@ -348,6 +322,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for count in ("jobs", "draws"):
+            if getattr(args, count, 1) < 1:
+                raise ConfigurationError(f"--{count} must be at least 1")
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -14,13 +14,13 @@ into the resolved kernels rather than stored.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 
 from .baselines import BaselineConfig
 from .errors import ConfigurationError
-from .kernels import MEDIAN, KernelFamily, KernelSpec, default_composite, kernel_sum, \
-    log_kernel, polynomial, product, rational_quadratic, rbf
+from .kernels import MEDIAN, KernelFamily, KernelSpec, default_composite, polynomial, rbf
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,12 @@ def parse_kernel(text: str) -> KernelSpec:
     if not t:
         raise ConfigurationError("empty kernel expression")
     lowered = t.lower()
-    for name, factory in (("product", product), ("sum", kernel_sum)):
-        if lowered.startswith(name + "(") and t.endswith(")"):
-            inner = t[len(name) + 1:-1]
-            parts = [parse_kernel(p) for p in _split_args(inner)]
+    for fam in (KernelFamily.COMPOSITE_PRODUCT, KernelFamily.COMPOSITE_SUM):
+        if lowered.startswith(fam.value + "(") and t.endswith(")"):
+            parts = [parse_kernel(p) for p in _split_args(t[len(fam.value) + 1:-1])]
             if len(parts) < 2:
                 raise ConfigurationError(f"composite kernel needs >= 2 parts: {text!r}")
-            return factory(*parts)
+            return KernelSpec(fam, parts=tuple(parts))
     head, sep, arg = lowered.partition(":")
     if head == "rbf":
         if not sep:
@@ -71,12 +70,10 @@ def parse_kernel(text: str) -> KernelSpec:
         if arg.strip() == MEDIAN:
             return rbf(MEDIAN)
         return rbf(_positive_float(arg, text))
-    if head == "log":
-        _no_arg(sep, text)
-        return log_kernel()
-    if head == "rq":
-        _no_arg(sep, text)
-        return rational_quadratic()
+    if head in (KernelFamily.LOG.value, KernelFamily.RATIONAL_QUADRATIC.value):
+        if sep:
+            raise ConfigurationError(f"kernel takes no argument: {text!r}")
+        return KernelSpec(KernelFamily(head))
     if head == "poly":
         if not sep:
             raise ConfigurationError(f"polynomial kernel needs a degree: {text!r}")
@@ -86,11 +83,6 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ConfigurationError(f"bad polynomial degree in {text!r}") from exc
         return polynomial(degree)
     raise ConfigurationError(f"unknown kernel expression {text!r}")
-
-
-def _no_arg(sep: str, text: str) -> None:
-    if sep:
-        raise ConfigurationError(f"kernel takes no argument: {text!r}")
 
 
 def _positive_float(arg: str, text: str) -> float:
@@ -127,15 +119,11 @@ def kernel_to_text(spec: KernelSpec) -> str:
     fam = spec.family
     if fam is KernelFamily.RBF:
         return "rbf:median" if spec.bandwidth == MEDIAN else f"rbf:{spec.bandwidth!r}"
-    if fam is KernelFamily.LOG:
-        return "log"
-    if fam is KernelFamily.RATIONAL_QUADRATIC:
-        return "rq"
     if fam is KernelFamily.POLYNOMIAL:
         return f"poly:{spec.degree}"
-    joined = ",".join(kernel_to_text(p) for p in spec.parts)
-    name = "product" if fam is KernelFamily.COMPOSITE_PRODUCT else "sum"
-    return f"{name}({joined})"
+    if not spec.parts:
+        return fam.value
+    return f"{fam.value}({','.join(kernel_to_text(p) for p in spec.parts)})"
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -164,6 +152,23 @@ def _convert_float(key: str, value: str) -> float:
         raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
 
 
+#: Config-file key -> (field it sets, reader of its text, writer of its text).
+#: Fields of BaselineConfig land in ``RunConfig.baselines``, the rest in RunConfig.
+_KEYS = {
+    "anm.kernel": ("anm_kernel", parse_kernel, kernel_to_text),
+    "anm.ridge": ("anm_ridge", float, repr),
+    "energy_threshold": ("energy_threshold", float, repr),
+    "kcdc.kernel_in": ("kcdc_input_kernel", parse_kernel, kernel_to_text),
+    "kcdc.kernel_out": ("kcdc_output_kernel", parse_kernel, kernel_to_text),
+    "kernel.x": ("kernel_x", parse_kernel, kernel_to_text),
+    "kernel.y": ("kernel_y", parse_kernel, kernel_to_text),
+    "lambda": ("lam", float, repr),
+    "rw.clip_quantile": ("rw_clip_quantile", float, repr),
+    "tie_tolerance": ("tie_tolerance", float, repr),
+}
+_BASELINE_FIELDS = frozenset(f.name for f in dataclasses.fields(BaselineConfig))
+
+
 def build_config(settings: dict[str, str]) -> RunConfig:
     """Turn textual settings (config file plus flag overrides) into a RunConfig.
 
@@ -179,28 +184,11 @@ def build_config(settings: dict[str, str]) -> RunConfig:
     }
     base = {}
     for key, value in settings.items():
-        if key == "lambda":
-            fields["lam"] = _convert_float(key, value)
-        elif key == "energy_threshold":
-            fields["energy_threshold"] = _convert_float(key, value)
-        elif key == "kernel.x":
-            fields["kernel_x"] = parse_kernel(value)
-        elif key == "kernel.y":
-            fields["kernel_y"] = parse_kernel(value)
-        elif key == "tie_tolerance":
-            fields["tie_tolerance"] = _convert_float(key, value)
-        elif key == "rw.clip_quantile":
-            fields["rw_clip_quantile"] = _convert_float(key, value)
-        elif key == "kcdc.kernel_in":
-            base["kcdc_input_kernel"] = parse_kernel(value)
-        elif key == "kcdc.kernel_out":
-            base["kcdc_output_kernel"] = parse_kernel(value)
-        elif key == "anm.ridge":
-            base["anm_ridge"] = _convert_float(key, value)
-        elif key == "anm.kernel":
-            base["anm_kernel"] = parse_kernel(value)
-        else:
+        if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
+        name, read, _ = _KEYS[key]
+        target = base if name in _BASELINE_FIELDS else fields
+        target[name] = _convert_float(key, value) if read is float else read(value)
     try:
         fields["baselines"] = BaselineConfig(**base)
         return RunConfig(**fields)
@@ -210,19 +198,11 @@ def build_config(settings: dict[str, str]) -> RunConfig:
 
 def config_items(config: RunConfig) -> dict[str, str]:
     """Every setting as a config-file key and its canonical text, keys sorted."""
-    b = config.baselines
-    return dict(sorted({
-        "anm.kernel": kernel_to_text(b.anm_kernel),
-        "anm.ridge": repr(b.anm_ridge),
-        "energy_threshold": repr(config.energy_threshold),
-        "kcdc.kernel_in": kernel_to_text(b.kcdc_input_kernel),
-        "kcdc.kernel_out": kernel_to_text(b.kcdc_output_kernel),
-        "kernel.x": kernel_to_text(config.kernel_x),
-        "kernel.y": kernel_to_text(config.kernel_y),
-        "lambda": repr(config.lam),
-        "rw.clip_quantile": repr(config.rw_clip_quantile),
-        "tie_tolerance": repr(config.tie_tolerance),
-    }.items()))
+    items = {}
+    for key, (name, _, write) in sorted(_KEYS.items()):
+        owner = config.baselines if name in _BASELINE_FIELDS else config
+        items[key] = write(getattr(owner, name))
+    return items
 
 
 def serialize_config(config: RunConfig) -> str:

@@ -120,8 +120,8 @@ def median_heuristic(samples) -> float:
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size < 2:
         raise ValueError("median heuristic needs at least 2 samples")
-    iu = np.triu_indices(xs.size, k=1)
-    dists = np.abs(xs[:, None] - xs[None, :])[iu]
+    upper = np.triu(np.ones((xs.size, xs.size), dtype=bool), 1)
+    dists = np.abs(xs[:, None] - xs[None, :])[upper]
     med = float(np.median(dists))
     return med if med > 0.0 else 1.0
 
@@ -138,22 +138,21 @@ def resolve(spec: KernelSpec, samples) -> KernelSpec:
     return spec
 
 
-def _evaluate(spec: KernelSpec, a, b):
-    """Evaluate the (resolved) kernel on broadcastable point arrays a, b."""
+def _evaluate(spec: KernelSpec, a, b, d2):
+    """Evaluate the (resolved) kernel on broadcastable point arrays a, b whose
+    squared differences (a - b)**2 are ``d2``."""
     fam = spec.family
     if fam is KernelFamily.RBF:
-        d2 = (a - b) ** 2
         return np.exp(-d2 / spec.bandwidth**2)
     if fam is KernelFamily.LOG:
-        return -np.log1p((a - b) ** 2)
+        return -np.log1p(d2)
     if fam is KernelFamily.RATIONAL_QUADRATIC:
-        d2 = (a - b) ** 2
         return 1.0 - d2 / (d2 + 1.0)
     if fam is KernelFamily.POLYNOMIAL:
         return (a * b + 1.0) ** spec.degree
     if fam in _COMPOSITES:
         combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
-        return functools.reduce(combine, (_evaluate(part, a, b) for part in spec.parts))
+        return functools.reduce(combine, (_evaluate(part, a, b, d2) for part in spec.parts))
     raise ConfigurationError(f"unknown kernel family {fam!r}")
 
 
@@ -169,7 +168,8 @@ def gram(spec: KernelSpec, samples) -> np.ndarray:
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("gram needs a nonempty sample sequence")
-    values = np.asarray(_evaluate(resolve(spec, xs), xs[:, None], xs[None, :]), dtype=float)
+    a, b = xs[:, None], xs[None, :]
+    values = np.asarray(_evaluate(resolve(spec, xs), a, b, (a - b) ** 2), dtype=float)
     values.setflags(write=False)
     return values
 

@@ -156,6 +156,8 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
         raise ValueError("need at least one method")
     if subsample_limit < 0:
         raise ValueError("subsample limit must be nonnegative (0 disables subsampling)")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if subsample_limit:
         check_sample_size(methods, subsample_limit)
     usable = [p for p in pairs if not p.excluded]

@@ -61,6 +61,13 @@ def dense_hsic(ku, kv):
     return float(np.trace(ku @ h @ kv @ h)) / n**2
 
 
+def triu_median(samples):
+    """Median of |x_i - x_j| over the index pairs i < j listed by np.triu_indices."""
+    xs = np.asarray(samples, dtype=float).ravel()
+    iu = np.triu_indices(xs.size, k=1)
+    return float(np.median(np.abs(xs[:, None] - xs[None, :])[iu]))
+
+
 def dense_reweighted_coeffs(kx, r, lam):
     """Columns a_i = H R^{1/2} (H R^{1/2} K_x R^{1/2} H + lam n I)^{-1} R^{1/2} H k_{x_i}."""
     kx = np.asarray(kx, dtype=float)

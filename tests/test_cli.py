@@ -9,7 +9,7 @@ import pytest
 from kiim import Mechanism, MechanismSpec, Method, Noise, PairedDataset, generate, \
     write_pair_text
 from kiim.cli import main, parse_method, parse_methods
-from kiim.report import SCHEMA_VERSION
+from kiim.report import SCHEMA_VERSION, format_value
 
 
 @pytest.fixture
@@ -148,9 +148,10 @@ def test_synthetic_reruns_are_byte_stable(tmp_path):
 
 
 def test_synthetic_rejects_unknown_cell(tmp_path, capsys):
-    assert main(["synthetic", "--cells", "FOO:Gaussian",
-                 "--out-dir", str(tmp_path)]) == 1
-    assert "cell" in capsys.readouterr().err
+    # ANM2:Gaussian names a known mechanism and noise but lies off the grid
+    for cell in ("FOO:Gaussian", "ANM2:Gaussian"):
+        assert main(["synthetic", "--cells", cell, "--out-dir", str(tmp_path)]) == 1
+        assert f"cell {cell!r}" in capsys.readouterr().err
 
 
 def test_ablation_writes_reports(tmp_path, capsys):
@@ -209,6 +210,43 @@ def test_runs_reject_sizes_a_method_cannot_score(argv, method, report, tcep_dir,
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert f"{method} needs at least" in capsys.readouterr().err
     assert not (tmp_path / report).exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synthetic", "--seed", "-1", "--trials", "2"], "seed must be nonnegative"),
+    (["ablation", "--seed", "-3", "--trials", "2"], "seed must be nonnegative"),
+    (["tcep", "TCEP_DIR", "--seed", "-1"], "seed must be nonnegative"),
+    (["synthetic", "--jobs", "0", "--trials", "2"], "--jobs must be at least 1"),
+    (["ablation", "--jobs", "-2", "--trials", "2"], "--jobs must be at least 1"),
+    (["tcep", "TCEP_DIR", "--jobs", "0"], "--jobs must be at least 1"),
+    (["theory-check", "--draws", "-5"], "--draws must be at least 1"),
+    (["theory-check", "--draws", "0"], "--draws must be at least 1"),
+], ids=["synthetic-seed", "ablation-seed", "tcep-seed", "synthetic-jobs", "ablation-jobs",
+        "tcep-jobs", "draws-negative", "draws-zero"])
+def test_runs_reject_negative_seeds_and_counts(argv, message, tcep_dir, tmp_path, capsys):
+    argv = [str(tcep_dir) if a == "TCEP_DIR" else a for a in argv]
+    out = tmp_path / "runs"
+    if argv[0] != "theory-check":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthetic", "--cells", "ANM1:Gaussian", "--methods", "kiim,igci-uniform",
+     "--trials", "3", "--n", "40"],
+    ["ablation", "--cells", "ANM1:Gaussian", "--d-max", "1", "--trials", "2", "--n", "30"],
+], ids=["synthetic", "ablation"])
+def test_json_results_match_csv_rows(argv, tmp_path):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()
+    columns = header.split(",")
+    results = json.loads((tmp_path / f"{argv[0]}.json").read_text())["results"]
+    assert [sorted(r) for r in results] == [sorted(columns)] * len(rows)
+    assert [",".join(format_value(r[c]) for c in columns) for r in results] == rows
 
 
 def test_tcep_rejects_negative_subsample_limit(tcep_dir, tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Config tests: kernel grammar, config files, resolution, digests."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
-from kiim import ConfigurationError, KernelFamily, RunConfig, \
+from kiim import BaselineConfig, ConfigurationError, KernelFamily, RunConfig, \
     build_config, config_digest, default_composite, kernel_sum, kernel_to_text, \
     log_kernel, parse_kernel, polynomial, product, rational_quadratic, rbf, \
     read_config_file, serialize_config
+from kiim.config import config_items
 
 
 GRAMMAR_CASES = [
@@ -176,3 +179,27 @@ def test_config_digest_tracks_changes():
     base = RunConfig()
     assert config_digest(dataclasses.replace(base, lam=0.5)) != config_digest(base)
     assert config_digest(build_config({"anm.ridge": "0.5"})) != config_digest(base)
+
+
+def test_config_items_cover_every_field():
+    # a field without a config key would silently miss the digest
+    config = RunConfig(
+        lam=0.02, energy_threshold=0.8, kernel_x=rbf(0.5), kernel_y=polynomial(2),
+        tie_tolerance=1e-9, rw_clip_quantile=0.9,
+        baselines=BaselineConfig(kcdc_input_kernel=rbf(1.5),
+                                 kcdc_output_kernel=kernel_sum(rbf(0.5), log_kernel()),
+                                 anm_ridge=0.05, anm_kernel=rational_quadratic()))
+    fields = [(owner, f.name) for owner in (config, config.baselines)
+              for f in dataclasses.fields(owner) if f.name != "baselines"]
+    for owner, name in fields:
+        assert getattr(owner, name) != getattr(type(owner)(), name), name
+    items = config_items(config)
+    assert len(items) == len(fields)
+    assert build_config(items) == config
+
+
+def test_formats_doc_lists_every_config_key():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    section = doc.split("## Config files", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
+    assert sorted(keys) == sorted([*config_items(RunConfig()), "composite_mode"])

@@ -76,6 +76,18 @@ def test_median_heuristic_permutation_invariant():
     assert median_heuristic(xs) == median_heuristic(xs[perm])
 
 
+def test_median_heuristic_matches_triu_oracle():
+    rng = np.random.default_rng(11)
+    normal = rng.standard_normal(101)
+    inputs = (rng.integers(0, 4, 200).astype(float),  # tie-heavy
+              np.append(normal, 1e6),                   # one far outlier
+              1e4 * rng.uniform(-1.0, 1.0, 150),
+              normal)
+    for xs in inputs:
+        m = oracles.triu_median(xs)
+        assert median_heuristic(xs) == (m if m > 0.0 else 1.0)
+
+
 def test_resolve_replaces_median_marker():
     spec = resolve(default_composite(), [0.0, 1.0, 3.0])
     assert all(part.bandwidth != MEDIAN for part in spec.parts)
