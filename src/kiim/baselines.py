@@ -38,8 +38,8 @@ class BaselineConfig:
     anm_kernel: KernelSpec = rbf()
 
     def __post_init__(self):
-        if self.anm_ridge <= 0:
-            raise ValueError("anm ridge must be positive")
+        if not 0 < self.anm_ridge < np.inf:  # NaN fails too
+            raise ValueError("anm ridge must be positive and finite")
 
 
 def oriented(dataset: PairedDataset, direction) -> tuple[np.ndarray, np.ndarray]:

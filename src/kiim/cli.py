@@ -106,7 +106,7 @@ def cmd_infer(args) -> int:
         "score_xy": _score_payload(decision.score_xy),
         "score_yx": _score_payload(decision.score_yx),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 2 if decision.direction is Direction.UNDECIDED else 0
 
 

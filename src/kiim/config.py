@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .baselines import BaselineConfig
@@ -41,12 +42,13 @@ class RunConfig:
     baselines: BaselineConfig = BaselineConfig()
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigurationError("lambda must be positive")
+        # Written so that NaN fails each range check.
+        if not 0 < self.lam < math.inf:
+            raise ConfigurationError("lambda must be positive and finite")
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ConfigurationError("energy threshold must lie in (0, 1]")
-        if self.tie_tolerance < 0:
-            raise ConfigurationError("tie tolerance must be nonnegative")
+        if not 0 <= self.tie_tolerance < math.inf:
+            raise ConfigurationError("tie tolerance must be nonnegative and finite")
         if not 0.5 < self.rw_clip_quantile <= 1.0:
             raise ConfigurationError("clip quantile must lie in (0.5, 1]")
 

@@ -14,7 +14,6 @@ and ``gram`` returns a plain read-only n x n array.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +23,9 @@ from .errors import ConfigurationError
 
 #: Bandwidth marker resolved against a sample set before evaluation.
 MEDIAN = "median"
+
+#: Gram entries evaluated per block of rows (1 MB of float64 temporaries).
+_BLOCK_ELEMENTS = 1 << 17
 
 
 class KernelFamily(Enum):
@@ -151,8 +153,13 @@ def _evaluate(spec: KernelSpec, a, b, d2):
     if fam is KernelFamily.POLYNOMIAL:
         return (a * b + 1.0) ** spec.degree
     if fam in _COMPOSITES:
+        # Folded left to right into the first part's fresh array, in place.
         combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
-        return functools.reduce(combine, (_evaluate(part, a, b, d2) for part in spec.parts))
+        first, *rest = spec.parts
+        out = _evaluate(first, a, b, d2)
+        for part in rest:
+            combine(out, _evaluate(part, a, b, d2), out=out)
+        return out
     raise ConfigurationError(f"unknown kernel family {fam!r}")
 
 
@@ -164,12 +171,22 @@ def gram(spec: KernelSpec, samples) -> np.ndarray:
     is evaluated from x - x' (which swapping the points negates exactly and
     which enters only squared) or from the commutative product x x', and
     composites combine their parts elementwise.
+
+    Rows are evaluated in blocks of about ``_BLOCK_ELEMENTS`` entries into
+    one output array, so the temporaries of each kernel part are block-sized
+    rather than n x n; every entry is computed by the same operations either
+    way.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("gram needs a nonempty sample sequence")
-    a, b = xs[:, None], xs[None, :]
-    values = np.asarray(_evaluate(resolve(spec, xs), a, b, (a - b) ** 2), dtype=float)
+    spec = resolve(spec, xs)
+    values = np.empty((xs.size, xs.size))
+    step = max(1, _BLOCK_ELEMENTS // xs.size)
+    b = xs[None, :]
+    for start in range(0, xs.size, step):
+        a = xs[start:start + step, None]
+        values[start:start + step] = _evaluate(spec, a, b, (a - b) ** 2)
     values.setflags(write=False)
     return values
 

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .baselines import anm_score, igci_score, kcdc_score, IgciReference, oriented
+from .blas import threads_for
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import NumericalError
@@ -238,11 +239,13 @@ def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = N
     """Score both directions with identical settings and compare.
 
     Smaller score wins; ties within the relative tolerance are Undecided.
+    Both directions run under ``threads_for(dataset.n)``.
     """
     config = config or RunConfig()
     method = Method(method)
-    score_xy = direction_score(dataset, Direction.X_TO_Y, method, config)
-    score_yx = direction_score(dataset, Direction.Y_TO_X, method, config)
+    with threads_for(dataset.n):
+        score_xy = direction_score(dataset, Direction.X_TO_Y, method, config)
+        score_yx = direction_score(dataset, Direction.Y_TO_X, method, config)
     return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
                           score_xy=score_xy, score_yx=score_yx, method=method)
 
@@ -251,14 +254,15 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
                   config: RunConfig | None = None) -> tuple[AblationPoint, ...]:
     """Decisions for every fixed discard count d = 0..d_max.
 
-    Both spectra are computed once; each d then slices the sorted
-    eigenvalues directly, bypassing the energy rule.
+    Both spectra are computed once, under ``threads_for(dataset.n)``; each
+    d then slices the sorted eigenvalues directly, bypassing the energy rule.
     """
     config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
-    spectra = {direction: sym_eig(invariance_matrix(dataset, direction, config))
-               for direction in (Direction.X_TO_Y, Direction.Y_TO_X)}
+    with threads_for(dataset.n):
+        spectra = {direction: sym_eig(invariance_matrix(dataset, direction, config))
+                   for direction in (Direction.X_TO_Y, Direction.Y_TO_X)}
     points = []
     for d in range(d_max + 1):
         score_xy = fixed_discard_score(spectra[Direction.X_TO_Y], d)

@@ -6,6 +6,7 @@ enumeration of the rank rule. None of it imports the package under test,
 so agreement between the two is evidence rather than tautology.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -66,6 +67,19 @@ def triu_median(samples):
     xs = np.asarray(samples, dtype=float).ravel()
     iu = np.triu_indices(xs.size, k=1)
     return float(np.median(np.abs(xs[:, None] - xs[None, :])[iu]))
+
+
+def reduce_composite_gram(samples, mode="product"):
+    """Default composite Gram as one n x n expression per part, combined by
+    functools.reduce over np.multiply or np.add (RBF at the median width,
+    then log, then RQ)."""
+    xs = np.asarray(samples, dtype=float).ravel()
+    med = triu_median(xs) if xs.size > 1 else 0.0
+    med = med if med > 0.0 else 1.0
+    a, b = xs[:, None], xs[None, :]
+    d2 = (a - b) ** 2
+    parts = (np.exp(-d2 / med**2), -np.log1p(d2), 1.0 - d2 / (d2 + 1.0))
+    return functools.reduce(np.multiply if mode == "product" else np.add, parts)
 
 
 def dense_reweighted_coeffs(kx, r, lam):

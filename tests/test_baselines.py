@@ -30,6 +30,9 @@ def test_oriented_views():
 def test_baseline_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(anm_ridge=0.0)
+    for ridge in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BaselineConfig(anm_ridge=ridge)
     with pytest.raises(ValueError):
         kcdc_score(PairedDataset(np.arange(6.0), np.arange(6.0) ** 2), Direction.X_TO_Y,
                    lam=-1.0)

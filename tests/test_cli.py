@@ -6,8 +6,8 @@ import xml.etree.ElementTree as ElementTree
 import numpy as np
 import pytest
 
-from kiim import Mechanism, MechanismSpec, Method, Noise, PairedDataset, generate, \
-    write_pair_text
+from kiim import CausalDecision, Direction, DirectionScore, Mechanism, MechanismSpec, Method, \
+    Noise, PairedDataset, generate, write_pair_text
 from kiim.cli import main, parse_method, parse_methods
 from kiim.report import SCHEMA_VERSION, format_value
 
@@ -99,6 +99,34 @@ def test_infer_bad_config_file_key(pair_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no_such_key = 1\n")
     assert main(["infer", str(pair_file), "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_infer_rejects_non_finite_lambda(pair_file, value, capsys):
+    # NaN passed the old `lam <= 0` check and failed later as exit 3.
+    assert main(["infer", str(pair_file), "--lambda", value]) == 1
+    captured = capsys.readouterr()
+    assert "error: lambda must be positive and finite" in captured.err
+    assert not captured.out
+
+
+def test_infer_rejects_non_finite_anm_ridge_from_config_file(pair_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("anm.ridge = nan\n")
+    assert main(["infer", str(pair_file), "--method", "anm", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "error: anm ridge must be positive and finite" in captured.err
+    assert "NaN" not in captured.out + captured.err
+
+
+def test_infer_never_prints_nan(pair_file, monkeypatch, capsys):
+    nan = DirectionScore(score=float("nan"))
+    monkeypatch.setattr("kiim.cli.infer_direction", lambda *args: CausalDecision(
+        direction=Direction.UNDECIDED, score_xy=nan, score_yx=nan, method=Method.ANM))
+    assert main(["infer", str(pair_file), "--method", "anm"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "not JSON compliant" in captured.err
 
 
 def test_infer_numerical_failure_exits_three(tmp_path, capsys):

@@ -128,14 +128,20 @@ def test_build_config_baseline_keys():
     {"unknown_key": "1"},
     {"lambda": "zero"},
     {"lambda": "-1"},
+    {"lambda": "nan"},
+    {"lambda": "inf"},
     {"energy_threshold": "0"},
     {"energy_threshold": "1.5"},
     {"embedding_form": "eq5"},
     {"tie_tolerance": "-1e-9"},
+    {"tie_tolerance": "nan"},
+    {"tie_tolerance": "inf"},
     {"rw.clip_quantile": "0.5"},
     {"rw.clip_quantile": "1.2"},
     {"igci.reference": "uniform"},
     {"anm.ridge": "-1"},
+    {"anm.ridge": "nan"},
+    {"anm.ridge": "inf"},
     {"kernel.x": "wat"},
 ])
 def test_build_config_rejects(settings):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,22 +118,47 @@ def test_gram_empty_rejected():
         gram(rbf(1.0), [])
 
 
-def test_gram_bitwise_symmetric():
-    # Nothing mirrors the Gram: symmetry rests on each kernel being a
-    # function of x - x' (negated exactly by a swap) or of x x'.
+def _gram_samples():
     rng = np.random.default_rng(0)
-    samples = [
+    return [
         rng.standard_normal(31),
         rng.integers(0, 4, 40).astype(float),  # integer-valued, tie-heavy
         np.append(rng.standard_normal(30), 1e6),  # one far outlier
         rng.uniform(-1e4, 1e4, 33),
     ]
+
+
+def test_gram_bitwise_symmetric():
+    # Nothing mirrors the Gram: symmetry rests on each kernel being a
+    # function of x - x' (negated exactly by a swap) or of x x'.
     for spec in (rbf(), log_kernel(), rational_quadratic(), polynomial(2), polynomial(3),
                  default_composite(), default_composite("sum")):
-        for xs in samples:
+        for xs in _gram_samples():
             values = gram(spec, xs)
             assert (values == values.T).all()
             assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["product", "sum"])
+def test_composite_gram_matches_reduce_oracle_bitwise(mode):
+    # 700 points take several row blocks, the last one short.
+    extra = np.random.default_rng(1).standard_normal(700)
+    for xs in [*_gram_samples(), extra]:
+        expected = oracles.reduce_composite_gram(xs, mode)
+        actual = gram(default_composite(mode), xs)
+        np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def test_default_gram_peak_memory_at_n_1000():
+    # The result is 8 MB; n x n temporaries per part once peaked at 48 MB.
+    xs = np.random.default_rng(2).standard_normal(1000)
+    tracemalloc.start()
+    try:
+        gram(default_composite(), xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_gram_diagonals():
