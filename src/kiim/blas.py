@@ -27,8 +27,8 @@ import numpy
 import scipy.linalg  # loads scipy's OpenBLAS before the lookup below
 
 #: Smallest n scored on the inherited thread count; below it, one thread.
-#: On 2 cores one KIIM decision at n = 300 takes half as long on one thread
-#: as on two, and two threads win from about n = 1000 (docs/formats.md).
+#: Set when scores took a full eigendecomposition: on 2 cores two threads
+#: then won from about n = 1000. Current timings are in docs/formats.md.
 THREADED_MIN_N = 1000
 
 

@@ -1,10 +1,13 @@
 """Invariance-matrix scores and the pairwise direction decision.
 
-The score of a candidate direction is built in four steps: standardize
-both variables, form the invariance matrix M from the cause and effect
-Gram matrices, eigendecompose M, and average the smallest eigenvalues
-that jointly carry at least the configured energy fraction. Small score
-means stable conditional embeddings, i.e. the plausible causal direction.
+The score of a candidate direction averages the smallest eigenvalues of the
+invariance matrix M = B^T B (B built from the standardized cause and effect
+Gram matrices) that jointly carry at least the configured energy fraction.
+It is read from B: ||B||_F^2 is the total energy, and when a power-step bound
+shows that the top eigenvalue alone exceeds the share the rule may drop, the
+score is ||B||_F^2 / n. Only when that certificate fails is M formed and
+eigendecomposed. Small score means stable conditional embeddings, i.e. the
+plausible causal direction.
 """
 
 from __future__ import annotations
@@ -95,6 +98,12 @@ class AblationPoint:
     direction: Direction
 
 
+def _kiim_factor(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
+    if Kx.shape != Ky.shape:
+        raise ValueError("Gram matrices must have matching dimensions")
+    return center(Kx @ ridge_factorization(Kx, lam).solve(Ky))
+
+
 def kiim_matrix(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
     """Invariance matrix K_y (K_x+lam I)^{-1} K_x H K_x (K_x+lam I)^{-1} K_y.
 
@@ -102,10 +111,14 @@ def kiim_matrix(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
     H = H^T H), which keeps the result symmetric PSD up to roundoff;
     ``sym_eig`` symmetrizes it exactly.
     """
-    if Kx.shape != Ky.shape:
-        raise ValueError("Gram matrices must have matching dimensions")
-    B = center(Kx @ ridge_factorization(Kx, lam).solve(Ky))
+    B = _kiim_factor(Kx, Ky, lam)
     return B.T @ B
+
+
+def _coeffs_factor(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
+    if A.shape != Ky.shape:
+        raise ValueError("coefficient matrix must be n x n")
+    return center((Ky @ A).T)
 
 
 def matrix_from_coeffs(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
@@ -115,9 +128,7 @@ def matrix_from_coeffs(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
     C = K_y A the matrix is C H C^T, the scatter of the embeddings after
     centering, pulled back through the effect Gram matrix.
     """
-    if A.shape != Ky.shape:
-        raise ValueError("coefficient matrix must be n x n")
-    B = center((Ky @ A).T)
+    B = _coeffs_factor(A, Ky)
     return B.T @ B
 
 
@@ -175,30 +186,58 @@ def fixed_discard_score(spectrum: Spectrum, discard: int) -> DirectionScore:
                           discarded_top=discard)
 
 
-def _standardized_pair(dataset: PairedDataset, direction):
+def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore:
+    """``energy_rank_score(sym_eig(B.T @ B), energy_threshold)``, read from B.
+
+    Three power steps on B^T B from the largest row of B give a Rayleigh
+    quotient rho <= sigma_1^2. If rho exceeds 1 - energy_threshold of the
+    total ||B||_F^2 (with a 1e-6 relative margin for roundoff), the rule
+    discards nothing and the score is ||B||_F^2 / n; else the spectrum decides.
+    """
+    total = float(np.vdot(B, B))
+    if total > 0.0:
+        v = B[np.argmax(np.einsum("ij,ij->i", B, B))]
+        for _ in range(3):
+            v = B.T @ (B @ v)
+            v = v / np.linalg.norm(v)
+        if float(np.linalg.norm(B @ v)) ** 2 > (1.0 - energy_threshold) * total * (1.0 + 1e-6):
+            return DirectionScore(score=total / B.shape[0], retained_count=B.shape[0],
+                                  retained_energy_ratio=1.0, discarded_top=0)
+    return energy_rank_score(sym_eig(B.T @ B), energy_threshold)
+
+
+def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
+                       reweighted: bool, grams: dict | None) -> np.ndarray:
+    """B of M = B^T B for one direction. ``grams`` holds each standardized
+    column under its name ("xs", "ys") and each Gram under (kernel spec,
+    column name); calls that share it build each of them once."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
-    cause, effect = oriented(dataset, direction)
-    return standardize(cause), standardize(effect)
+    names = ("xs", "ys") if oriented(dataset, direction)[0] is dataset.xs else ("ys", "xs")
+    grams = {} if grams is None else grams
+    keys = tuple(zip((config.kernel_x, config.kernel_y), names))
+    for spec, name in keys:
+        if name not in grams:
+            grams[name] = standardize(getattr(dataset, name))
+        if (spec, name) not in grams:
+            grams[spec, name] = gram(spec, grams[name])
+    Kx, Ky = (grams[key] for key in keys)
+    if reweighted:
+        r = reweighting_vector(grams[names[0]], clip_quantile=config.rw_clip_quantile)
+        return _coeffs_factor(reweighted_cond_matrix(Kx, r, config.lam), Ky)
+    return _kiim_factor(Kx, Ky, config.lam)
 
 
 def invariance_matrix(dataset: PairedDataset, direction, config: RunConfig,
-                      reweighted: bool = False) -> np.ndarray:
-    """M for one direction of a dataset under the configured estimator."""
-    cause, effect = _standardized_pair(dataset, direction)
-    Kx = gram(config.kernel_x, cause)
-    Ky = gram(config.kernel_y, effect)
-    if reweighted:
-        r = reweighting_vector(cause, clip_quantile=config.rw_clip_quantile)
-        return matrix_from_coeffs(reweighted_cond_matrix(Kx, r, config.lam), Ky)
-    return kiim_matrix(Kx, Ky, config.lam)
+                      reweighted: bool = False, grams: dict | None = None) -> np.ndarray:
+    """M for one direction of a dataset; see ``_invariance_factor`` for ``grams``."""
+    B = _invariance_factor(dataset, direction, config, reweighted, grams)
+    return B.T @ B
 
 
 def kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> DirectionScore:
     """Invariance score of one direction (plain conditional embeddings)."""
-    config = config or RunConfig()
-    M = invariance_matrix(dataset, direction, config)
-    return energy_rank_score(sym_eig(M), config.energy_threshold)
+    return direction_score(dataset, direction, Method.KIIM, config or RunConfig())
 
 
 def rw_kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> DirectionScore:
@@ -207,18 +246,16 @@ def rw_kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = 
     The reweighting pushes the (standardized) cause sample toward a
     uniform reference on its range before the embeddings are compared.
     """
-    config = config or RunConfig()
-    M = invariance_matrix(dataset, direction, config, reweighted=True)
-    return energy_rank_score(sym_eig(M), config.energy_threshold)
+    return direction_score(dataset, direction, Method.RW_KIIM, config or RunConfig())
 
 
-def direction_score(dataset: PairedDataset, direction, method, config: RunConfig) -> DirectionScore:
+def direction_score(dataset: PairedDataset, direction, method, config: RunConfig,
+                    grams: dict | None = None) -> DirectionScore:
     """One direction's score under any method, wrapped uniformly."""
     method = Method(method)
-    if method is Method.KIIM:
-        return kiim_score(dataset, direction, config)
-    if method is Method.RW_KIIM:
-        return rw_kiim_score(dataset, direction, config)
+    if method in (Method.KIIM, Method.RW_KIIM):
+        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, grams)
+        return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
         return DirectionScore(score=kcdc_score(dataset, direction, config.lam,
                                                 config.baselines))
@@ -239,13 +276,14 @@ def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = N
     """Score both directions with identical settings and compare.
 
     Smaller score wins; ties within the relative tolerance are Undecided.
-    Both directions run under ``threads_for(dataset.n)``.
+    Both directions run under ``threads_for(dataset.n)`` and share Grams.
     """
     config = config or RunConfig()
     method = Method(method)
+    grams = {}
     with threads_for(dataset.n):
-        score_xy = direction_score(dataset, Direction.X_TO_Y, method, config)
-        score_yx = direction_score(dataset, Direction.Y_TO_X, method, config)
+        score_xy = direction_score(dataset, Direction.X_TO_Y, method, config, grams)
+        score_yx = direction_score(dataset, Direction.Y_TO_X, method, config, grams)
     return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
                           score_xy=score_xy, score_yx=score_yx, method=method)
 
@@ -254,14 +292,15 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
                   config: RunConfig | None = None) -> tuple[AblationPoint, ...]:
     """Decisions for every fixed discard count d = 0..d_max.
 
-    Both spectra are computed once, under ``threads_for(dataset.n)``; each
-    d then slices the sorted eigenvalues directly, bypassing the energy rule.
+    Both spectra are computed once, from shared Grams, under ``threads_for(dataset.n)``;
+    each d then slices the sorted eigenvalues directly, bypassing the energy rule.
     """
     config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
+    grams = {}
     with threads_for(dataset.n):
-        spectra = {direction: sym_eig(invariance_matrix(dataset, direction, config))
+        spectra = {direction: sym_eig(invariance_matrix(dataset, direction, config, False, grams))
                    for direction in (Direction.X_TO_Y, Direction.Y_TO_X)}
     points = []
     for d in range(d_max + 1):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from kiim import (Direction, MechanismSpec, Method, PairedDataset, RunConfig,
                   Spectrum, generate, table1_grid,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
                   invariance_matrix, kiim_matrix, kiim_score, matrix_from_coeffs,
-                  rank_ablation, rbf, rw_kiim_score, sym_eig)
-from kiim.scoring import MIN_SAMPLES, direction_score
+                  median_heuristic, rank_ablation, rbf, rw_kiim_score, standardize, sym_eig)
+from kiim import scoring
+from kiim.scoring import MIN_SAMPLES, _decide, direction_score, factor_score
 
 
 def _spectrum(vals):
@@ -199,6 +201,162 @@ def test_discard_scores_monotone_nonincreasing():
     scores = [fixed_discard_score(spec, d).score for d in range(15)]
     assert all(a >= b - 1e-15 for a, b in zip(scores, scores[1:]))
     assert energy_rank_score(spec).score <= scores[0] + 1e-15
+
+
+# --------------------------------------------------- score read from the factor
+
+_DIRECTIONS = (Direction.X_TO_Y, Direction.Y_TO_X)
+_INVARIANCE_METHODS = (Method.KIIM, Method.RW_KIIM)
+
+
+def _spectrum_path(ds, method, config):
+    """Both directional scores from the full spectrum of M = B^T B."""
+    return [energy_rank_score(sym_eig(invariance_matrix(ds, direction, config,
+                                                        method is Method.RW_KIIM)),
+                              config.energy_threshold)
+            for direction in _DIRECTIONS]
+
+
+def _assert_same_rank_and_score(got, want):
+    assert got.discarded_top == want.discarded_top
+    assert got.retained_count == want.retained_count
+    assert got.score == pytest.approx(want.score, rel=1e-12, abs=0.0)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(scoring, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", _INVARIANCE_METHODS, ids=[m.value for m in _INVARIANCE_METHODS])
+def test_certified_score_matches_spectrum_path_on_grid(method, monkeypatch):
+    config = RunConfig()
+    for mechanism, noise in table1_grid():
+        for seed in range(3):
+            ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=100, seed=seed))
+            want = _spectrum_path(ds, method, config)
+            eig_calls = _counting(monkeypatch, "sym_eig")
+            got = [direction_score(ds, direction, method, config) for direction in _DIRECTIONS]
+            monkeypatch.undo()
+            assert eig_calls == []  # the certificate held: no spectrum was computed
+            for g, w in zip(got, want):
+                _assert_same_rank_and_score(g, w)
+
+
+def test_flat_spectrum_falls_back_to_the_spectrum(monkeypatch):
+    # 0.5 Q with Q orthogonal: B^T B = 0.25 I, so sigma_1^2 is 1/20 of the total.
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((20, 20)))
+    B = 0.5 * q
+    eig_calls = _counting(monkeypatch, "sym_eig")
+    got = factor_score(B)
+    assert len(eig_calls) == 1
+    assert got == energy_rank_score(sym_eig(B.T @ B))
+    assert got.discarded_top == 2
+
+
+def test_zero_factor_falls_back_and_scores_zero(monkeypatch):
+    eig_calls = _counting(monkeypatch, "sym_eig")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 in the certificate
+        got = factor_score(np.zeros((6, 6)))
+    assert len(eig_calls) == 1
+    assert got.score == 0.0 and got.discarded_top == 0
+
+
+def test_factor_score_matches_energy_rule_on_random_factors():
+    rng = np.random.default_rng(31)
+    for case in range(300):
+        n = int(rng.integers(1, 25))
+        # Column scales from flat to one dominant direction.
+        B = rng.standard_normal((n, n)) * rng.uniform(0.0, 1.0, n) ** float(rng.uniform(0, 8))
+        threshold = float(rng.uniform(0.3, 1.0)) if case % 3 else 0.9
+        got = factor_score(B, threshold)
+        want = energy_rank_score(sym_eig(B.T @ B), threshold)
+        assert got.discarded_top == want.discarded_top
+        assert got.score == pytest.approx(want.score, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("method", _INVARIANCE_METHODS, ids=[m.value for m in _INVARIANCE_METHODS])
+def test_lower_energy_threshold_still_matches_spectrum_path(method):
+    config = dataclasses.replace(RunConfig(), energy_threshold=0.5)
+    for mechanism, noise in table1_grid():
+        ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=60, seed=1))
+        want = _spectrum_path(ds, method, config)
+        got = [direction_score(ds, direction, method, config) for direction in _DIRECTIONS]
+        for g, w in zip(got, want):
+            _assert_same_rank_and_score(g, w)
+
+
+@pytest.mark.parametrize("method", _INVARIANCE_METHODS, ids=[m.value for m in _INVARIANCE_METHODS])
+def test_decision_builds_each_gram_once(method, monkeypatch):
+    ds = _random_dataset(22, n=40)
+    calls = _counting(monkeypatch, "gram")
+    infer_direction(ds, method)
+    assert len(calls) == 2
+    calls.clear()
+    infer_direction(ds, method, dataclasses.replace(RunConfig(), kernel_y=rbf()))
+    assert len(calls) == 4
+
+
+def test_rank_ablation_builds_each_gram_once(monkeypatch):
+    calls = _counting(monkeypatch, "gram")
+    rank_ablation(_random_dataset(23, n=30), 2)
+    assert len(calls) == 2
+
+
+def _tie_heavy(n, seed):
+    rng = np.random.default_rng(seed)
+    xs = (rng.random(n) < 0.2).astype(float)
+    xs[:2] = (0.0, 1.0)
+    ys = xs + (rng.random(n) < 0.15)
+    return PairedDataset(xs, ys)
+
+
+def _outlier(n, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n)
+    xs[n // 2] = 1e6
+    return PairedDataset(xs, np.tanh(xs) + 0.1 * rng.standard_normal(n))
+
+
+def _tiny(n, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n)
+    return PairedDataset(xs, xs**3 + 0.3 * rng.standard_normal(n))
+
+
+_ADVERSARIAL = {"integer-ties": lambda seed: _tie_heavy(100, seed),
+                "outlier-1e6": lambda seed: _outlier(100, seed),
+                "n5": lambda seed: _tiny(5, seed),
+                "n10": lambda seed: _tiny(10, seed)}
+
+
+def test_tie_heavy_columns_use_the_fallback_bandwidth():
+    ds = _tie_heavy(100, 0)
+    assert median_heuristic(standardize(ds.xs)) == 1.0
+    assert median_heuristic(standardize(ds.ys)) == 1.0
+
+
+@pytest.mark.parametrize("shape", sorted(_ADVERSARIAL))
+@pytest.mark.parametrize("method", _INVARIANCE_METHODS, ids=[m.value for m in _INVARIANCE_METHODS])
+def test_adversarial_shapes_decide_as_the_spectrum_path(shape, method):
+    config = RunConfig()
+    for seed in range(5):
+        ds = _ADVERSARIAL[shape](seed)
+        decision = infer_direction(ds, method, config)
+        want = _spectrum_path(ds, method, config)
+        for g, w in zip((decision.score_xy, decision.score_yx), want):
+            assert np.isfinite(g.score)
+            _assert_same_rank_and_score(g, w)
+        assert decision.direction is _decide(want[0].score, want[1].score,
+                                             config.tie_tolerance)
 
 
 # -------------------------------------------------------------- dataset level
