@@ -18,7 +18,7 @@ from .pairs import Direction, PairedDataset, load_pair_dataset, read_pair_file, 
     standardize, write_pair_text
 from .scoring import AblationPoint, CausalDecision, DirectionScore, Method, Spectrum, \
     energy_rank_score, fixed_discard_score, infer_direction, invariance_matrix, \
-    kiim_matrix, kiim_score, matrix_from_coeffs, rank_ablation, rw_kiim_score, sym_eig
+    kiim_matrix, kiim_score, rank_ablation, sym_eig
 from .synthdata import Mechanism, MechanismSpec, Noise, generate, table1_grid
 from .tcep import MethodAccuracy, PairResult, TcepPair, TcepReport, evaluate_tcep, load_tcep
 from .theory import FiniteBasisDensity, construct_equal_norm_density, verify_lemma1

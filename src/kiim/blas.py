@@ -27,8 +27,8 @@ import numpy
 import scipy.linalg  # loads scipy's OpenBLAS before the lookup below
 
 #: Smallest n scored on the inherited thread count; below it, one thread.
-#: Set when scores took a full eigendecomposition: on 2 cores two threads
-#: then won from about n = 1000. Current timings are in docs/formats.md.
+#: On 2 cores one thread wins below it and two win at n = 2000; in between
+#: they are level within run-to-run noise. Timings are in docs/formats.md.
 THREADED_MIN_N = 1000
 
 

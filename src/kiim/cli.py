@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .bench import parse_cells, run_ablation, run_synthetic
-from .config import RunConfig, build_config, config_digest, config_items, read_config_file
+from .config import _KEYS, RunConfig, build_config, config_digest, config_items, \
+    read_config_file
 from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
 from .kernels import log_kernel, polynomial, rational_quadratic, rbf
 from .pairs import Direction, load_pair_dataset
@@ -55,10 +56,10 @@ def _config_from_args(args) -> RunConfig:
     settings: dict[str, str] = {}
     if args.config:
         settings.update(read_config_file(args.config))
-    for key, attr in (("lambda", "lam"), ("energy_threshold", "energy_threshold"),
-                      ("kernel.x", "kernel_x"), ("kernel.y", "kernel_y"),
-                      ("composite_mode", "composite_mode")):
-        value = getattr(args, attr, None)
+    # A flag's argparse dest is the name of the field its config key sets.
+    flags = {key: name for key, (name, _, _) in _KEYS.items()}
+    for key, name in (flags | {"composite_mode": "composite_mode"}).items():
+        value = getattr(args, name, None)
         if value is not None:
             settings[key] = value
     return build_config(settings)
@@ -258,11 +259,13 @@ def _add_config_flags(parser) -> None:
                         help="key = value settings file; flags override it")
 
 
-def _add_run_flags(parser, trials_default=100) -> None:
-    parser.add_argument("--trials", type=int, default=trials_default,
-                        help=f"independent trials per cell (default {trials_default})")
-    parser.add_argument("--n", type=int, default=100,
-                        help="samples per trial (default 100)")
+def _add_run_flags(parser, trials: bool) -> None:
+    """--seed, --jobs and --out-dir; with ``trials``, also --trials and --n."""
+    if trials:
+        parser.add_argument("--trials", type=int, default=100,
+                            help="independent trials per cell (default 100)")
+        parser.add_argument("--n", type=int, default=100,
+                            help="samples per trial (default 100)")
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all or comma-separated MECH:NOISE cells (default all)")
     p.add_argument("--methods", default="kiim",
                    help="comma-separated methods (default kiim)")
-    _add_run_flags(p)
+    _add_run_flags(p, trials=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_synthetic)
 
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated methods (default kiim)")
     p.add_argument("--subsample-limit", type=int, default=1000,
                    help="subsample pairs larger than this (default 1000; 0 disables)")
-    _add_run_flags(p)
+    _add_run_flags(p, trials=False)
     _add_config_flags(p)
     p.set_defaults(func=cmd_tcep)
 
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", default="ANM1:Gaussian,MNM2:Gaussian",
                    help="grid cells (default ANM1:Gaussian,MNM2:Gaussian)")
     p.add_argument("--d-max", type=int, default=5, help="largest discard count (default 5)")
-    _add_run_flags(p)
+    _add_run_flags(p, trials=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablation)
 

@@ -116,20 +116,10 @@ def kiim_matrix(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _coeffs_factor(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
-    if A.shape != Ky.shape:
-        raise ValueError("coefficient matrix must be n x n")
+    """B = H C^T with C = K_y A: column i of A holds the conditional-embedding
+    coefficients a_i, so B^T B = C H C^T is the scatter of the centred
+    embeddings, pulled back through the effect Gram matrix."""
     return center((Ky @ A).T)
-
-
-def matrix_from_coeffs(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
-    """Invariance matrix from an explicit coefficient matrix.
-
-    Column i of A holds the conditional-embedding coefficients a_i; with
-    C = K_y A the matrix is C H C^T, the scatter of the embeddings after
-    centering, pulled back through the effect Gram matrix.
-    """
-    B = _coeffs_factor(A, Ky)
-    return B.T @ B
 
 
 def sym_eig(M) -> Spectrum:
@@ -207,31 +197,30 @@ def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore
 
 
 def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
-                       reweighted: bool, grams: dict | None) -> np.ndarray:
-    """B of M = B^T B for one direction. ``grams`` holds each standardized
-    column under its name ("xs", "ys") and each Gram under (kernel spec,
-    column name); calls that share it build each of them once."""
+                       reweighted: bool, grams: dict) -> np.ndarray:
+    """B of M = B^T B for one direction. ``grams`` maps (kernel spec, column
+    name) to the Gram of that standardized column; calls that share it
+    build each Gram once."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
     names = ("xs", "ys") if oriented(dataset, direction)[0] is dataset.xs else ("ys", "xs")
-    grams = {} if grams is None else grams
     keys = tuple(zip((config.kernel_x, config.kernel_y), names))
     for spec, name in keys:
-        if name not in grams:
-            grams[name] = standardize(getattr(dataset, name))
         if (spec, name) not in grams:
-            grams[spec, name] = gram(spec, grams[name])
+            grams[spec, name] = gram(spec, standardize(getattr(dataset, name)))
     Kx, Ky = (grams[key] for key in keys)
     if reweighted:
-        r = reweighting_vector(grams[names[0]], clip_quantile=config.rw_clip_quantile)
+        # Rw-KIIM weights the cause sample toward a uniform reference on its range.
+        r = reweighting_vector(standardize(getattr(dataset, names[0])),
+                               clip_quantile=config.rw_clip_quantile)
         return _coeffs_factor(reweighted_cond_matrix(Kx, r, config.lam), Ky)
     return _kiim_factor(Kx, Ky, config.lam)
 
 
 def invariance_matrix(dataset: PairedDataset, direction, config: RunConfig,
-                      reweighted: bool = False, grams: dict | None = None) -> np.ndarray:
-    """M for one direction of a dataset; see ``_invariance_factor`` for ``grams``."""
-    B = _invariance_factor(dataset, direction, config, reweighted, grams)
+                      reweighted: bool = False) -> np.ndarray:
+    """M = B^T B for one direction of a dataset."""
+    B = _invariance_factor(dataset, direction, config, reweighted, {})
     return B.T @ B
 
 
@@ -240,21 +229,14 @@ def kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = Non
     return direction_score(dataset, direction, Method.KIIM, config or RunConfig())
 
 
-def rw_kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> DirectionScore:
-    """Invariance score with importance-reweighted conditional embeddings.
-
-    The reweighting pushes the (standardized) cause sample toward a
-    uniform reference on its range before the embeddings are compared.
-    """
-    return direction_score(dataset, direction, Method.RW_KIIM, config or RunConfig())
-
-
 def direction_score(dataset: PairedDataset, direction, method, config: RunConfig,
                     grams: dict | None = None) -> DirectionScore:
-    """One direction's score under any method, wrapped uniformly."""
+    """One direction's score under any method, wrapped uniformly; ``grams``
+    is the Gram cache of ``_invariance_factor``, shared by its callers."""
     method = Method(method)
     if method in (Method.KIIM, Method.RW_KIIM):
-        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, grams)
+        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM,
+                               {} if grams is None else grams)
         return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
         return DirectionScore(score=kcdc_score(dataset, direction, config.lam,
@@ -298,10 +280,11 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
     config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
-    grams = {}
+    grams, spectra = {}, {}
     with threads_for(dataset.n):
-        spectra = {direction: sym_eig(invariance_matrix(dataset, direction, config, False, grams))
-                   for direction in (Direction.X_TO_Y, Direction.Y_TO_X)}
+        for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
+            B = _invariance_factor(dataset, direction, config, False, grams)
+            spectra[direction] = sym_eig(B.T @ B)
     points = []
     for d in range(d_max + 1):
         score_xy = fixed_discard_score(spectra[Direction.X_TO_Y], d)

@@ -14,6 +14,7 @@ xs is the annotated cause, making XtoY the correct answer everywhere.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from .scoring import Method, check_sample_size, infer_direction
 MULTIVARIATE_IDS = frozenset({52, 53, 54, 55, 71, 105})
 MISSING_VALUE_IDS = frozenset({81, 82, 83})
 NO_GROUND_TRUTH_IDS = frozenset({86})
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +174,11 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
             dataset = dataset.subsampled(subsample_limit, rng)
         for method in methods:
             tasks.append((pair.id, dataset, method, config))
-    results = run_tasks(tasks, _evaluate_one, jobs)
+    results = sorted(run_tasks(tasks, _evaluate_one, jobs),
+                     key=lambda r: (r.pair_id, r.method.value))
+    for r in results:
+        if r.error:
+            log.warning("trial failed: pair %d %s: %s", r.pair_id, r.method.value, r.error)
     weights = {p.id: p.weight for p in usable}
     accuracies = []
     for method in methods:
@@ -184,5 +191,5 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
                                          weighted_accuracy=hit_weight / total_weight))
     return TcepReport(loaded=len(pairs), excluded=sum(p.excluded for p in pairs),
                       usable=len(usable),
-                      results=tuple(sorted(results, key=lambda r: (r.pair_id, r.method.value))),
+                      results=tuple(results),
                       accuracies=tuple(accuracies))

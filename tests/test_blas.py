@@ -106,13 +106,13 @@ def test_infer_direction_scores_small_n_on_one_thread(two_threads, monkeypatch):
 @needs_blas
 def test_rank_ablation_scores_small_n_on_one_thread(two_threads, monkeypatch):
     seen = []
-    matrix = scoring.invariance_matrix
+    spectrum = scoring.sym_eig
 
     def spy(*args):
         seen.append(blas.thread_counts())
-        return matrix(*args)
+        return spectrum(*args)
 
-    monkeypatch.setattr(scoring, "invariance_matrix", spy)
+    monkeypatch.setattr(scoring, "sym_eig", spy)
     rank_ablation(_dataset(60), 3)
     assert seen == [(1,) * len(two_threads)] * 2
     assert blas.thread_counts() == two_threads

@@ -249,8 +249,9 @@ def test_runs_reject_sizes_a_method_cannot_score(argv, method, report, tcep_dir,
     (["tcep", "TCEP_DIR", "--jobs", "0"], "--jobs must be at least 1"),
     (["theory-check", "--draws", "-5"], "--draws must be at least 1"),
     (["theory-check", "--draws", "0"], "--draws must be at least 1"),
+    (["tcep", "TCEP_DIR", "--trials", "0", "--n", "-5"], "unrecognized arguments"),
 ], ids=["synthetic-seed", "ablation-seed", "tcep-seed", "synthetic-jobs", "ablation-jobs",
-        "tcep-jobs", "draws-negative", "draws-zero"])
+        "tcep-jobs", "draws-negative", "draws-zero", "tcep-trials"])
 def test_runs_reject_negative_seeds_and_counts(argv, message, tcep_dir, tmp_path, capsys):
     argv = [str(tcep_dir) if a == "TCEP_DIR" else a for a in argv]
     out = tmp_path / "runs"

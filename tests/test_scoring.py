@@ -8,10 +8,10 @@ import oracles
 from kiim import (Direction, MechanismSpec, Method, PairedDataset, RunConfig,
                   Spectrum, generate, table1_grid,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
-                  invariance_matrix, kiim_matrix, kiim_score, matrix_from_coeffs,
-                  median_heuristic, rank_ablation, rbf, rw_kiim_score, standardize, sym_eig)
+                  invariance_matrix, kiim_matrix, kiim_score,
+                  median_heuristic, rank_ablation, rbf, standardize, sym_eig)
 from kiim import scoring
-from kiim.scoring import MIN_SAMPLES, _decide, direction_score, factor_score
+from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, direction_score, factor_score
 
 
 def _spectrum(vals):
@@ -56,20 +56,16 @@ def test_kiim_matrix_matches_dense_oracle():
         assert np.abs(got - want).max() <= 1e-9
 
 
-def test_matrix_from_coeffs_agrees_with_kiim_matrix():
+def test_coeffs_factor_agrees_with_kiim_matrix():
     # C H C^T with C = K_y A and A the ridge solve is the same matrix
     rng = np.random.default_rng(11)
     Kx = gram(rbf(), rng.standard_normal(10))
     Ky = gram(rbf(), rng.standard_normal(10))
     A = np.linalg.solve(Kx + 1e-3 * np.eye(10), Kx)
-    got = matrix_from_coeffs(A, Ky)
+    B = _coeffs_factor(A, Ky)
+    got = B.T @ B
     want = kiim_matrix(Kx, Ky, 1e-3)
     assert np.abs(got - want).max() <= 1e-10
-
-
-def test_matrix_from_coeffs_shape_check():
-    with pytest.raises(ValueError):
-        matrix_from_coeffs(np.eye(3), np.eye(2))
 
 
 # -------------------------------------------------------------------- sym_eig
@@ -402,23 +398,25 @@ def test_direction_score_minimum_sample_size(method):
         direction_score(smaller, Direction.X_TO_Y, method, RunConfig())
 
 
-def test_kiim_score_permutation_invariant():
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_kiim_score_permutation_invariant(method):
     rng = np.random.default_rng(12)
     ds = _random_dataset(4, n=40)
     perm = rng.permutation(40)
     permuted = PairedDataset(ds.xs[perm], ds.ys[perm])
     for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
-        a = kiim_score(ds, direction).score
-        b = kiim_score(permuted, direction).score
+        a = direction_score(ds, direction, method, RunConfig()).score
+        b = direction_score(permuted, direction, method, RunConfig()).score
         assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
 
 
-def test_kiim_score_affine_invariant():
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_kiim_score_affine_invariant(method):
     ds = _random_dataset(5, n=35)
     scaled = PairedDataset(3.0 * ds.xs - 7.0, -0.5 * ds.ys + 2.0)
     for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
-        a = kiim_score(ds, direction).score
-        b = kiim_score(scaled, direction).score
+        a = direction_score(ds, direction, method, RunConfig()).score
+        b = direction_score(scaled, direction, method, RunConfig()).score
         assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
 
 
@@ -447,7 +445,7 @@ def test_invariance_matrix_psd_property():
 def test_rw_kiim_score_runs_and_differs():
     ds = _random_dataset(7, n=40)
     plain = kiim_score(ds, Direction.X_TO_Y).score
-    rw = rw_kiim_score(ds, Direction.X_TO_Y).score
+    rw = direction_score(ds, Direction.X_TO_Y, Method.RW_KIIM, RunConfig()).score
     assert rw >= 0.0
     assert rw != plain
 

@@ -1,5 +1,7 @@
 """Benchmark-directory tests: ingestion, exclusions, orientation, accuracy."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -143,17 +145,22 @@ def test_identical_columns_are_undecided_and_incorrect(tmp_path):
     assert not result.correct
 
 
-def test_method_error_is_recorded_and_run_continues(tmp_path):
+def test_method_error_is_recorded_and_run_continues(tmp_path, caplog):
     good = _stack(_anm1(4))
     ds = _anm1(5)
     degenerate = np.column_stack([ds.xs, np.ones(ds.n)])
     root = _tiny_dir(tmp_path, [good, degenerate])
-    report = evaluate_tcep(load_tcep(root), [Method.KIIM])
+    with caplog.at_level(logging.WARNING, logger="kiim.tcep"):
+        report = evaluate_tcep(load_tcep(root), [Method.KIIM])
     by_id = {r.pair_id: r for r in report.results}
     assert by_id[1].correct and by_id[1].error is None
     assert by_id[2].error is not None and not by_id[2].correct
     assert by_id[2].score_xy is None
     assert report.accuracies[0].accuracy == 0.5
+    # the failure's message is logged once, naming the pair and the method
+    failed = [(r.levelno, r.getMessage()) for r in caplog.records
+              if "trial failed" in r.getMessage()]
+    assert failed == [(logging.WARNING, f"trial failed: pair 2 KIIM: {by_id[2].error}")]
 
 
 def test_weighted_accuracy_uses_metadata_weights(tmp_path):
