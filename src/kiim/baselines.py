@@ -8,38 +8,20 @@ negative, the other two are nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import digamma
 
+from .config import RunConfig
 from .embeddings import ridge_factorization
-from .kernels import KernelSpec, center, gram, log_kernel, rational_quadratic, rbf
+from .kernels import KernelSpec, center, gram, rbf
 from .pairs import Direction, PairedDataset, standardize
 
 
 class IgciReference(str, Enum):
     GAUSSIAN = "Gaussian"
     UNIFORM = "Uniform"
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Knobs for the three baseline scorers.
-
-    The deviance ridge is ``RunConfig.lam``, passed to ``kcdc_score``; the
-    method (IGCIGauss or IGCIUniform) picks the entropy score's reference.
-    """
-
-    kcdc_input_kernel: KernelSpec = log_kernel()
-    kcdc_output_kernel: KernelSpec = rational_quadratic()
-    anm_ridge: float = 1e-3
-    anm_kernel: KernelSpec = rbf()
-
-    def __post_init__(self):
-        if not 0 < self.anm_ridge < np.inf:  # NaN fails too
-            raise ValueError("anm ridge must be positive and finite")
 
 
 def oriented(dataset: PairedDataset, direction) -> tuple[np.ndarray, np.ndarray]:
@@ -66,17 +48,16 @@ def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
     return float(norms.var())
 
 
-def kcdc_score(dataset: PairedDataset, direction, lam: float = 1e-3,
-               config: BaselineConfig | None = None) -> float:
+def kcdc_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> float:
     """Deviance of conditional embeddings of the effect given the cause,
-    with ridge ``lam`` on the embedding solves."""
-    config = config or BaselineConfig()
+    with ridge ``config.lam`` on the embedding solves."""
+    config = config or RunConfig()
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
     cause, effect = oriented(dataset, direction)
     Kx = gram(config.kcdc_input_kernel, standardize(cause))
     Ky = gram(config.kcdc_output_kernel, standardize(effect))
-    return kcdc_deviance(Kx, Ky, lam)
+    return kcdc_deviance(Kx, Ky, config.lam)
 
 
 def spacing_entropy(values) -> float:
@@ -143,14 +124,14 @@ def hsic(u, v, kernel: KernelSpec | None = None) -> float:
     return max(value, 0.0)
 
 
-def anm_score(dataset: PairedDataset, direction, config: BaselineConfig | None = None) -> float:
+def anm_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> float:
     """Dependence between cause and the residual of a kernel ridge fit.
 
     Fits effect = f(cause) by kernel ridge regression and returns
     hsic(cause, residual); an additive-noise pair fit in the causal
     direction leaves residuals nearly independent of the cause.
     """
-    config = config or BaselineConfig()
+    config = config or RunConfig()
     if dataset.n < 10:
         raise ValueError("regression score needs at least 10 paired samples")
     cause, effect = oriented(dataset, direction)

@@ -3,7 +3,7 @@
 numpy and scipy each load their own OpenBLAS (numpy's ``libscipy_openblas64_``
 and scipy's ``libscipy_openblas``), and both start one thread per core. For
 the small kernel systems of a typical pair that loses time: waking the
-threads costs more than the n x n LU, solves, products and ``eigvalsh`` gain.
+threads costs more than the n x n LU, solves and products gain.
 ``threads_for(n)`` therefore runs a score on one thread below
 ``THREADED_MIN_N`` and leaves the inherited count alone from there on.
 

@@ -14,23 +14,24 @@ into the resolved kernels rather than stored.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
 
-from .baselines import BaselineConfig
 from .errors import ConfigurationError
-from .kernels import MEDIAN, KernelFamily, KernelSpec, default_composite, polynomial, rbf
+from .kernels import MEDIAN, KernelFamily, KernelSpec, default_composite, log_kernel, \
+    polynomial, rational_quadratic, rbf
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved settings shared by the scorers and the harness.
+    """Fully-resolved settings of every scorer and of the harness.
 
     ``kernel_x`` applies to whichever variable plays the cause role in the
     direction being scored, ``kernel_y`` to the effect role; both
-    directions of one dataset therefore use identical machinery.
+    directions of one dataset therefore use identical machinery. ``lam`` is
+    also KCDC's ridge; the ``kcdc_*`` and ``anm_*`` fields are read by those
+    baselines only.
     """
 
     lam: float = 1e-3
@@ -39,7 +40,10 @@ class RunConfig:
     kernel_y: KernelSpec = default_composite("product")
     tie_tolerance: float = 1e-12
     rw_clip_quantile: float = 0.95
-    baselines: BaselineConfig = BaselineConfig()
+    kcdc_input_kernel: KernelSpec = log_kernel()
+    kcdc_output_kernel: KernelSpec = rational_quadratic()
+    anm_ridge: float = 1e-3
+    anm_kernel: KernelSpec = rbf()
 
     def __post_init__(self):
         # Written so that NaN fails each range check.
@@ -51,6 +55,8 @@ class RunConfig:
             raise ConfigurationError("tie tolerance must be nonnegative and finite")
         if not 0.5 < self.rw_clip_quantile <= 1.0:
             raise ConfigurationError("clip quantile must lie in (0.5, 1]")
+        if not 0 < self.anm_ridge < math.inf:
+            raise ConfigurationError("anm ridge must be positive and finite")
 
 
 def parse_kernel(text: str) -> KernelSpec:
@@ -154,8 +160,7 @@ def _convert_float(key: str, value: str) -> float:
         raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
 
 
-#: Config-file key -> (field it sets, reader of its text, writer of its text).
-#: Fields of BaselineConfig land in ``RunConfig.baselines``, the rest in RunConfig.
+#: Config-file key -> (RunConfig field it sets, reader of its text, writer of its text).
 _KEYS = {
     "anm.kernel": ("anm_kernel", parse_kernel, kernel_to_text),
     "anm.ridge": ("anm_ridge", float, repr),
@@ -168,7 +173,6 @@ _KEYS = {
     "rw.clip_quantile": ("rw_clip_quantile", float, repr),
     "tie_tolerance": ("tie_tolerance", float, repr),
 }
-_BASELINE_FIELDS = frozenset(f.name for f in dataclasses.fields(BaselineConfig))
 
 
 def build_config(settings: dict[str, str]) -> RunConfig:
@@ -184,27 +188,17 @@ def build_config(settings: dict[str, str]) -> RunConfig:
         "kernel_x": default_composite(mode),
         "kernel_y": default_composite(mode),
     }
-    base = {}
     for key, value in settings.items():
         if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
         name, read, _ = _KEYS[key]
-        target = base if name in _BASELINE_FIELDS else fields
-        target[name] = _convert_float(key, value) if read is float else read(value)
-    try:
-        fields["baselines"] = BaselineConfig(**base)
-        return RunConfig(**fields)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+        fields[name] = _convert_float(key, value) if read is float else read(value)
+    return RunConfig(**fields)
 
 
 def config_items(config: RunConfig) -> dict[str, str]:
     """Every setting as a config-file key and its canonical text, keys sorted."""
-    items = {}
-    for key, (name, _, write) in sorted(_KEYS.items()):
-        owner = config.baselines if name in _BASELINE_FIELDS else config
-        items[key] = write(getattr(owner, name))
-    return items
+    return {key: write(getattr(config, name)) for key, (name, _, write) in sorted(_KEYS.items())}
 
 
 def serialize_config(config: RunConfig) -> str:

@@ -97,12 +97,9 @@ def _reweighted_system(Kx: np.ndarray, r: np.ndarray, lam: float):
         raise ValueError("reweighting length does not match Gram dimension")
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise ValueError("reweighting vector must be strictly positive and finite")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     s = np.sqrt(w)
     # R^{1/2} K_x R^{1/2} is symmetric, so H (.) H = center(center(.)^T).
-    G = center(center(s[:, None] * Kx * s[None, :]).T) + lam * n * np.eye(n)
-    return s, _Factorization(G)
+    return s, ridge_factorization(center(center(s[:, None] * Kx * s[None, :]).T), lam * n)
 
 
 def reweighted_cond_matrix(Kx: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:

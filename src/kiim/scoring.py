@@ -239,13 +239,12 @@ def direction_score(dataset: PairedDataset, direction, method, config: RunConfig
                                {} if grams is None else grams)
         return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
-        return DirectionScore(score=kcdc_score(dataset, direction, config.lam,
-                                                config.baselines))
+        return DirectionScore(score=kcdc_score(dataset, direction, config))
     if method is Method.IGCI_GAUSS:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.GAUSSIAN))
     if method is Method.IGCI_UNIFORM:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.UNIFORM))
-    return DirectionScore(score=anm_score(dataset, direction, config.baselines))
+    return DirectionScore(score=anm_score(dataset, direction, config))
 
 
 def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction:

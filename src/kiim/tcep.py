@@ -92,8 +92,12 @@ def _parse_meta(path: Path) -> dict[int, tuple[int, int, int, int, float]]:
         except ValueError as exc:
             raise IngestionError("non-numeric metadata field", path=str(path),
                                  line=lineno) from exc
-        if weight <= 0:
-            raise IngestionError("weight must be positive", path=str(path), line=lineno)
+        if not 0 < weight < np.inf:  # NaN fails too
+            raise IngestionError("weight must be positive and finite", path=str(path),
+                                 line=lineno)
+        if min(spans) < 1 or spans[1] < spans[0] or spans[3] < spans[2]:
+            raise IngestionError("column spans need 1 <= first <= last", path=str(path),
+                                 line=lineno)
         meta[pid] = (*spans, weight)
     if not meta:
         raise IngestionError("metadata file has no rows", path=str(path))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from kiim import (BaselineConfig, Direction, IgciReference, Mechanism,
+from kiim import (ConfigurationError, Direction, IgciReference, Mechanism,
                   MechanismSpec, Method, Noise, PairedDataset, RunConfig, anm_score,
                   build_config, generate, gram, hsic, igci_score, infer_direction,
                   kcdc_deviance, kcdc_score, rbf, run_synthetic, spacing_entropy)
@@ -28,14 +28,13 @@ def test_oriented_views():
 
 
 def test_baseline_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(anm_ridge=0.0)
+    with pytest.raises(ConfigurationError):
+        RunConfig(anm_ridge=0.0)
     for ridge in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            BaselineConfig(anm_ridge=ridge)
+        with pytest.raises(ConfigurationError):
+            RunConfig(anm_ridge=ridge)
     with pytest.raises(ValueError):
-        kcdc_score(PairedDataset(np.arange(6.0), np.arange(6.0) ** 2), Direction.X_TO_Y,
-                   lam=-1.0)
+        kcdc_deviance(np.eye(6), np.eye(6), -1.0)
 
 
 # ----------------------------------------------------------------------- KCDC
@@ -77,7 +76,7 @@ def test_kcdc_ridge_is_the_run_lambda():
     direct = direction_score(ds, Direction.X_TO_Y, Method.KCDC, RunConfig(lam=0.5))
     parsed = direction_score(ds, Direction.X_TO_Y, Method.KCDC, build_config({"lambda": "0.5"}))
     assert direct.score == parsed.score
-    assert direct.score == kcdc_score(ds, Direction.X_TO_Y, lam=0.5)
+    assert direct.score == kcdc_score(ds, Direction.X_TO_Y, RunConfig(lam=0.5))
     assert direct.score != kcdc_score(ds, Direction.X_TO_Y)
 
 

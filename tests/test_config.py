@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kiim import BaselineConfig, ConfigurationError, KernelFamily, RunConfig, \
+from kiim import ConfigurationError, KernelFamily, RunConfig, \
     build_config, config_digest, default_composite, kernel_sum, kernel_to_text, \
     log_kernel, parse_kernel, polynomial, product, rational_quadratic, rbf, \
     read_config_file, serialize_config
@@ -93,7 +93,8 @@ def test_build_config_defaults():
 def test_build_config_threads_lambda_into_baselines():
     config = build_config({"lambda": "0.5"})
     assert config.lam == 0.5
-    assert config.baselines == RunConfig().baselines  # KCDC reads config.lam itself
+    for name in ("kcdc_input_kernel", "kcdc_output_kernel", "anm_ridge", "anm_kernel"):
+        assert getattr(config, name) == getattr(RunConfig(), name)  # KCDC reads config.lam
 
 
 def test_build_config_composite_mode():
@@ -116,11 +117,10 @@ def test_build_config_baseline_keys():
         "anm.ridge": "0.01",
         "anm.kernel": "rq",
     })
-    b = config.baselines
-    assert b.kcdc_input_kernel == rbf(2.0)
-    assert b.kcdc_output_kernel == log_kernel()
-    assert b.anm_ridge == 0.01
-    assert b.anm_kernel == rational_quadratic()
+    assert config.kcdc_input_kernel == rbf(2.0)
+    assert config.kcdc_output_kernel == log_kernel()
+    assert config.anm_ridge == 0.01
+    assert config.anm_kernel == rational_quadratic()
 
 
 @pytest.mark.parametrize("settings", [
@@ -191,14 +191,12 @@ def test_config_items_cover_every_field():
     # a field without a config key would silently miss the digest
     config = RunConfig(
         lam=0.02, energy_threshold=0.8, kernel_x=rbf(0.5), kernel_y=polynomial(2),
-        tie_tolerance=1e-9, rw_clip_quantile=0.9,
-        baselines=BaselineConfig(kcdc_input_kernel=rbf(1.5),
-                                 kcdc_output_kernel=kernel_sum(rbf(0.5), log_kernel()),
-                                 anm_ridge=0.05, anm_kernel=rational_quadratic()))
-    fields = [(owner, f.name) for owner in (config, config.baselines)
-              for f in dataclasses.fields(owner) if f.name != "baselines"]
-    for owner, name in fields:
-        assert getattr(owner, name) != getattr(type(owner)(), name), name
+        tie_tolerance=1e-9, rw_clip_quantile=0.9, kcdc_input_kernel=rbf(1.5),
+        kcdc_output_kernel=kernel_sum(rbf(0.5), log_kernel()), anm_ridge=0.05,
+        anm_kernel=rational_quadratic())
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    for name in fields:
+        assert getattr(config, name) != getattr(RunConfig(), name), name
     items = config_items(config)
     assert len(items) == len(fields)
     assert build_config(items) == config

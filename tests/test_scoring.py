@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kiim import (Direction, MechanismSpec, Method, PairedDataset, RunConfig,
@@ -398,26 +400,38 @@ def test_direction_score_minimum_sample_size(method):
         direction_score(smaller, Direction.X_TO_Y, method, RunConfig())
 
 
-@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_kiim_score_permutation_invariant(method):
-    rng = np.random.default_rng(12)
-    ds = _random_dataset(4, n=40)
-    perm = rng.permutation(40)
-    permuted = PairedDataset(ds.xs[perm], ds.ys[perm])
+# Derandomized with no example database: every run searches the same inputs.
+_SEARCH = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+_SEEDS = st.integers(0, 2**32 - 1)
+_SIZES = st.integers(20, 60)
+_SLOPES = st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+_SHIFTS = st.floats(-100.0, 100.0)
+
+
+def _assert_same_scores(ds, other, method):
     for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
         a = direction_score(ds, direction, method, RunConfig()).score
-        b = direction_score(permuted, direction, method, RunConfig()).score
+        b = direction_score(other, direction, method, RunConfig()).score
         assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_kiim_score_affine_invariant(method):
-    ds = _random_dataset(5, n=35)
-    scaled = PairedDataset(3.0 * ds.xs - 7.0, -0.5 * ds.ys + 2.0)
-    for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
-        a = direction_score(ds, direction, method, RunConfig()).score
-        b = direction_score(scaled, direction, method, RunConfig()).score
-        assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+@_SEARCH
+@given(seed=_SEEDS, n=_SIZES, perm_seed=_SEEDS)
+@example(seed=4, n=40, perm_seed=12)
+def test_kiim_score_permutation_invariant(method, seed, n, perm_seed):
+    ds = _random_dataset(seed, n=n)
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    _assert_same_scores(ds, PairedDataset(ds.xs[perm], ds.ys[perm]), method)
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@_SEARCH
+@given(seed=_SEEDS, n=_SIZES, ax=_SLOPES, bx=_SHIFTS, ay=_SLOPES, by=_SHIFTS)
+@example(seed=5, n=35, ax=3.0, bx=-7.0, ay=-0.5, by=2.0)
+def test_kiim_score_affine_invariant(method, seed, n, ax, bx, ay, by):
+    ds = _random_dataset(seed, n=n)
+    _assert_same_scores(ds, PairedDataset(ax * ds.xs + bx, ay * ds.ys + by), method)
 
 
 def test_kiim_score_minimum_size():

@@ -78,6 +78,10 @@ def test_short_metadata_row_reports_line(tmp_path):
     "0001 1 1 2 two 1.0\n",
     "0001 1 1 2 2 0\n",
     "0001 1 1 2 2 -1\n",
+    "0001 1 1 2 2 nan\n",
+    "0001 1 1 2 2 inf\n",
+    "0001 0 0 2 2 1\n",
+    "0001 2 1 2 2 1\n",
     "",
 ])
 def test_bad_metadata_rows(tmp_path, row):
