@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import blas
 from .config import RunConfig
 from .errors import TRIAL_ERRORS, ConfigurationError
 from .pairs import Direction
@@ -103,9 +104,16 @@ def _ablation_outcome(task) -> tuple[tuple[bool, ...], str | None]:
 
 def run_tasks(tasks, worker, jobs: int) -> list:
     """``[worker(t) for t in tasks]``, in order, on a pool of ``jobs`` processes
-    when ``jobs > 1``; ``worker`` must be a picklable module-level function."""
+    when ``jobs > 1``; ``worker`` must be a picklable module-level function.
+
+    The pool is forked on one BLAS thread, so workers inherit one thread and
+    below ``blas.THREADED_MIN_N`` never start OpenBLAS helpers (see ``blas``).
+    """
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        counts = blas.thread_counts()
+        with blas.threads_for(0), ProcessPoolExecutor(
+                max_workers=jobs, initializer=blas.record_parent_counts,
+                initargs=(counts,)) as pool:
             return list(pool.map(worker, tasks, chunksize=4))
     return [worker(task) for task in tasks]
 

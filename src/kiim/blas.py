@@ -5,7 +5,7 @@ and scipy's ``libscipy_openblas``), and both start one thread per core. For
 the small kernel systems of a typical pair that loses time: waking the
 threads costs more than the n x n LU, solves and products gain.
 ``threads_for(n)`` therefore runs a score on one thread below
-``THREADED_MIN_N`` and leaves the inherited count alone from there on.
+``THREADED_MIN_N`` and on the inherited count from there on.
 
 The counts are set at runtime through each library's exported
 ``*_set_num_threads`` symbol, found with ``ctypes`` among the libraries that
@@ -14,6 +14,14 @@ are already loaded (the mechanism threadpoolctl uses);
 or symbol is not found, nothing is changed for it. The count is
 process-wide, so scores should not run concurrently from several threads of
 one process.
+
+A setter is called only when a count must change. OpenBLAS stops its
+helper threads at every fork, and the first setter call in the child starts
+them again, where they busy-spin beside the worker. So ``kiim.bench`` forks
+its pools on one thread, and a worker scores below ``THREADED_MIN_N`` on the
+count it inherited without calling a setter. At or above it a worker sets
+the counts its parent had before the fork (``record_parent_counts``), so a
+pooled score equals a serial one bit for bit.
 """
 
 from __future__ import annotations
@@ -61,19 +69,38 @@ def thread_counts() -> tuple[int, ...]:
     return tuple(get() for get, _ in _CONTROLS)
 
 
+#: In a pool worker, the counts of the parent before it forked the pool;
+#: None in any other process.
+_parent_counts: tuple[int, ...] | None = None
+
+
+def record_parent_counts(counts: tuple[int, ...]) -> None:
+    """Pool initializer: keep the parent's counts for n >= THREADED_MIN_N.
+
+    It calls no setter, so a forked worker keeps the one thread it inherits.
+    """
+    global _parent_counts
+    _parent_counts = counts
+
+
 @contextmanager
 def threads_for(n: int):
     """Run the body on one BLAS thread if n < THREADED_MIN_N.
 
-    Each library's previous count is restored on exit, exceptions included.
-    At n >= THREADED_MIN_N nothing is changed.
+    At n >= THREADED_MIN_N a pool worker runs it on its parent's counts, and
+    any other process on the count it has. A library's setter is called only
+    if its count differs from the target, and what was changed is restored
+    on exit, exceptions included.
     """
-    controls = _CONTROLS if n < THREADED_MIN_N else ()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    targets = (1,) * len(_CONTROLS) if n < THREADED_MIN_N else _parent_counts or ()
+    changed = []
+    for (get, set_), target in zip(_CONTROLS, targets):
+        count = get()
+        if count != target:
+            set_(target)
+            changed.append((set_, count))
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
+        for set_, count in changed:
             set_(count)

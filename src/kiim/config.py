@@ -89,6 +89,8 @@ def parse_kernel(text: str) -> KernelSpec:
             degree = int(arg.strip())
         except ValueError as exc:
             raise ConfigurationError(f"bad polynomial degree in {text!r}") from exc
+        if degree < 1:
+            raise ConfigurationError(f"polynomial degree must be at least 1 in {text!r}")
         return polynomial(degree)
     raise ConfigurationError(f"unknown kernel expression {text!r}")
 
@@ -98,8 +100,8 @@ def _positive_float(arg: str, text: str) -> float:
         value = float(arg)
     except ValueError as exc:
         raise ConfigurationError(f"bad bandwidth in {text!r}") from exc
-    if value <= 0:
-        raise ConfigurationError(f"bandwidth must be positive in {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"bandwidth must be positive and finite in {text!r}")
     return value
 
 

@@ -1,5 +1,7 @@
 """The BLAS thread rule: one thread below THREADED_MIN_N, restored after."""
 
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy
 
 from kiim import PairedDataset, blas, infer_direction, rank_ablation, scoring
+from kiim.bench import run_tasks
 
 needs_blas = pytest.mark.skipif(not blas.thread_counts(),
                                 reason="no OpenBLAS thread control found")
@@ -115,4 +118,34 @@ def test_rank_ablation_scores_small_n_on_one_thread(two_threads, monkeypatch):
     monkeypatch.setattr(scoring, "sym_eig", spy)
     rank_ablation(_dataset(60), 3)
     assert seen == [(1,) * len(two_threads)] * 2
+    assert blas.thread_counts() == two_threads
+
+
+def _threads_after_decision(n):
+    """Pool task: a KIIM decision at n, then the counts and the OS threads."""
+    infer_direction(_dataset(n), "KIIM")
+    return blas.thread_counts(), len(os.listdir("/proc/self/task"))
+
+
+def _counts_inside(n):
+    """Pool task: the counts seen inside ``threads_for(n)``."""
+    with blas.threads_for(n):
+        return blas.thread_counts()
+
+
+@needs_blas
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir()
+                    or multiprocessing.get_start_method() != "fork",
+                    reason="needs /proc/self/task and forked pool workers")
+def test_pool_workers_score_small_n_without_blas_helpers(two_threads):
+    ones = (1,) * len(two_threads)
+    assert run_tasks([100] * 4, _threads_after_decision, jobs=2) == [(ones, 1)] * 4
+    assert blas.thread_counts() == two_threads
+
+
+@needs_blas
+def test_pool_workers_score_large_n_on_the_parents_counts(two_threads):
+    ones = (1,) * len(two_threads)
+    results = run_tasks([100, blas.THREADED_MIN_N, 5000, 100], _counts_inside, jobs=2)
+    assert results == [ones, two_threads, two_threads, ones]
     assert blas.thread_counts() == two_threads

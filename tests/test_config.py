@@ -143,6 +143,10 @@ def test_build_config_baseline_keys():
     {"anm.ridge": "nan"},
     {"anm.ridge": "inf"},
     {"kernel.x": "wat"},
+    {"kernel.y": "poly:0"},
+    {"kernel.y": "poly:-2"},
+    {"kernel.y": "rbf:nan"},
+    {"kernel.y": "rbf:inf"},
 ])
 def test_build_config_rejects(settings):
     with pytest.raises(ConfigurationError):
