@@ -106,14 +106,11 @@ def run_tasks(tasks, worker, jobs: int) -> list:
     """``[worker(t) for t in tasks]``, in order, on a pool of ``jobs`` processes
     when ``jobs > 1``; ``worker`` must be a picklable module-level function.
 
-    The pool is forked on one BLAS thread, so workers inherit one thread and
-    below ``blas.THREADED_MIN_N`` never start OpenBLAS helpers (see ``blas``).
+    The pool is forked on one BLAS thread, so forked workers inherit one
+    thread, score on it and never start OpenBLAS helpers (see ``blas``).
     """
     if jobs > 1:
-        counts = blas.thread_counts()
-        with blas.threads_for(0), ProcessPoolExecutor(
-                max_workers=jobs, initializer=blas.record_parent_counts,
-                initargs=(counts,)) as pool:
+        with blas.one_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, tasks, chunksize=4))
     return [worker(task) for task in tasks]
 

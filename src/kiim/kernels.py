@@ -14,6 +14,7 @@ and ``gram`` returns a plain read-only n x n array.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,9 +45,10 @@ _COMPOSITES = (KernelFamily.COMPOSITE_PRODUCT, KernelFamily.COMPOSITE_SUM)
 class KernelSpec:
     """Declarative kernel description: family plus its parameters.
 
-    ``bandwidth`` is a positive width or the ``MEDIAN`` marker (RBF only),
-    ``degree`` applies to the polynomial family, ``parts`` to the two
-    composite families.
+    ``bandwidth`` is a finite positive width or the ``MEDIAN`` marker (RBF
+    only), ``degree`` an integer >= 1 for the polynomial family, ``parts``
+    the parts of the two composite families. ``bool`` is neither a width nor
+    a degree, so every spec prints as text that ``parse_kernel`` reads back.
     """
 
     family: KernelFamily
@@ -58,12 +60,14 @@ class KernelSpec:
         fam = self.family
         if fam is KernelFamily.RBF:
             bw = self.bandwidth
-            if bw != MEDIAN and not (isinstance(bw, (int, float)) and bw > 0):
-                raise ValueError("RBF bandwidth must be positive or the median marker")
+            if bw != MEDIAN and not (isinstance(bw, (int, float)) and not isinstance(bw, bool)
+                                     and 0 < bw < math.inf):
+                raise ValueError("RBF bandwidth must be finite and positive or the median marker")
         elif self.bandwidth is not None:
             raise ValueError(f"{fam.value} kernel takes no bandwidth")
         if fam is KernelFamily.POLYNOMIAL:
-            if not (isinstance(self.degree, int) and self.degree >= 1):
+            if not (isinstance(self.degree, int) and not isinstance(self.degree, bool)
+                    and self.degree >= 1):
                 raise ValueError("polynomial degree must be an integer >= 1")
         elif self.degree is not None:
             raise ValueError(f"{fam.value} kernel takes no degree")

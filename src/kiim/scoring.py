@@ -7,7 +7,8 @@ It is read from B: ||B||_F^2 is the total energy, and when a power-step bound
 shows that the top eigenvalue alone exceeds the share the rule may drop, the
 score is ||B||_F^2 / n. Only when that certificate fails is M formed and
 eigendecomposed. Small score means stable conditional embeddings, i.e. the
-plausible causal direction.
+plausible causal direction. Every decision and ablation runs on one BLAS
+thread (see ``kiim.blas``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .baselines import anm_score, igci_score, kcdc_score, IgciReference, oriented
-from .blas import threads_for
+from .blas import one_thread
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import NumericalError
@@ -257,12 +258,12 @@ def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = N
     """Score both directions with identical settings and compare.
 
     Smaller score wins; ties within the relative tolerance are Undecided.
-    Both directions run under ``threads_for(dataset.n)`` and share Grams.
+    Both directions run on one BLAS thread (``blas.one_thread``) and share Grams.
     """
     config = config or RunConfig()
     method = Method(method)
     grams = {}
-    with threads_for(dataset.n):
+    with one_thread():
         score_xy = direction_score(dataset, Direction.X_TO_Y, method, config, grams)
         score_yx = direction_score(dataset, Direction.Y_TO_X, method, config, grams)
     return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
@@ -273,14 +274,15 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
                   config: RunConfig | None = None) -> tuple[AblationPoint, ...]:
     """Decisions for every fixed discard count d = 0..d_max.
 
-    Both spectra are computed once, from shared Grams, under ``threads_for(dataset.n)``;
-    each d then slices the sorted eigenvalues directly, bypassing the energy rule.
+    Both spectra are computed once, from shared Grams, on one BLAS thread
+    (``blas.one_thread``); each d then slices the sorted eigenvalues
+    directly, bypassing the energy rule.
     """
     config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
     grams, spectra = {}, {}
-    with threads_for(dataset.n):
+    with one_thread():
         for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
             B = _invariance_factor(dataset, direction, config, False, grams)
             spectra[direction] = sym_eig(B.T @ B)

@@ -1,7 +1,9 @@
-"""The BLAS thread rule: one thread below THREADED_MIN_N, restored after."""
+"""The BLAS thread rule: every score runs on one thread, and the counts the
+process had are restored after, so a score does not depend on them."""
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,23 @@ def _recording_setters(monkeypatch):
     return calls
 
 
+@contextmanager
+def _counts_seen_by(module, name):
+    """Record the thread counts at every call of ``module.name``."""
+    seen = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        seen.append(blas.thread_counts())
+        return original(*args)
+
+    setattr(module, name, spy)
+    try:
+        yield seen
+    finally:
+        setattr(module, name, original)
+
+
 def _dataset(n):
     rng = np.random.default_rng(0)
     xs = rng.standard_normal(n)
@@ -57,30 +76,31 @@ def test_finds_both_wheel_openblas_copies():
 
 @needs_blas
 def test_small_n_runs_on_one_thread_and_restores(two_threads):
-    with blas.threads_for(100):
+    with blas.one_thread():
         assert blas.thread_counts() == (1,) * len(two_threads)
     assert blas.thread_counts() == two_threads
     with pytest.raises(RuntimeError):
-        with blas.threads_for(blas.THREADED_MIN_N - 1):
+        with blas.one_thread():
             assert blas.thread_counts() == (1,) * len(two_threads)
             raise RuntimeError("inside")
     assert blas.thread_counts() == two_threads
 
 
 @needs_blas
-def test_large_n_keeps_the_inherited_count(two_threads, monkeypatch):
+def test_every_n_scores_on_one_thread(two_threads, monkeypatch):
     calls = _recording_setters(monkeypatch)
-    for n in (blas.THREADED_MIN_N, 5000):
-        with blas.threads_for(n):
-            assert blas.thread_counts() == two_threads
-    assert all(record == [] for record in calls)
+    with _counts_seen_by(scoring, "direction_score") as seen:
+        for n in (100, 999, 1000, 5000):
+            infer_direction(_dataset(n), "IGCIUniform")
+    assert seen == [(1,) * len(two_threads)] * 8
+    assert all(record == [1, 2] * 4 for record in calls)
 
 
 @needs_blas
 def test_no_controls_is_a_no_op(two_threads, monkeypatch):
     getters = [get for get, _ in blas._CONTROLS]
     monkeypatch.setattr(blas, "_CONTROLS", ())
-    with blas.threads_for(100):
+    with blas.one_thread():
         assert [get() for get in getters] == list(two_threads)
     assert blas.thread_counts() == ()
 
@@ -88,35 +108,22 @@ def test_no_controls_is_a_no_op(two_threads, monkeypatch):
 @needs_blas
 def test_infer_direction_scores_small_n_on_one_thread(two_threads, monkeypatch):
     calls = _recording_setters(monkeypatch)
-    seen = []
-    score = scoring.direction_score
-
-    def spy(*args):
-        seen.append(blas.thread_counts())
-        return score(*args)
-
-    monkeypatch.setattr(scoring, "direction_score", spy)
-    infer_direction(_dataset(100), "KIIM")
-    assert seen == [(1,) * len(two_threads)] * 2
+    ones = (1,) * len(two_threads)
+    with _counts_seen_by(scoring, "direction_score") as seen:
+        infer_direction(_dataset(100), "KIIM")
+    assert seen == [ones] * 2
     assert all(record == [1, 2] for record in calls)
-    # IGCI is cheap enough to take at the threshold, where nothing is pinned.
-    seen.clear()
-    infer_direction(_dataset(blas.THREADED_MIN_N), "IGCIUniform")
-    assert seen == [two_threads] * 2
-    assert all(record == [1, 2] for record in calls)
+    # IGCI is cheap enough to take at n = 1000, which is pinned like the rest.
+    with _counts_seen_by(scoring, "direction_score") as seen:
+        infer_direction(_dataset(1000), "IGCIUniform")
+    assert seen == [ones] * 2
+    assert all(record == [1, 2, 1, 2] for record in calls)
 
 
 @needs_blas
-def test_rank_ablation_scores_small_n_on_one_thread(two_threads, monkeypatch):
-    seen = []
-    spectrum = scoring.sym_eig
-
-    def spy(*args):
-        seen.append(blas.thread_counts())
-        return spectrum(*args)
-
-    monkeypatch.setattr(scoring, "sym_eig", spy)
-    rank_ablation(_dataset(60), 3)
+def test_rank_ablation_scores_small_n_on_one_thread(two_threads):
+    with _counts_seen_by(scoring, "sym_eig") as seen:
+        rank_ablation(_dataset(60), 3)
     assert seen == [(1,) * len(two_threads)] * 2
     assert blas.thread_counts() == two_threads
 
@@ -127,10 +134,11 @@ def _threads_after_decision(n):
     return blas.thread_counts(), len(os.listdir("/proc/self/task"))
 
 
-def _counts_inside(n):
-    """Pool task: the counts seen inside ``threads_for(n)``."""
-    with blas.threads_for(n):
-        return blas.thread_counts()
+def _counts_while_scoring(n):
+    """Pool task: the counts each direction of an IGCI decision at n saw."""
+    with _counts_seen_by(scoring, "direction_score") as seen:
+        infer_direction(_dataset(n), "IGCIUniform")
+    return seen
 
 
 @needs_blas
@@ -139,13 +147,26 @@ def _counts_inside(n):
                     reason="needs /proc/self/task and forked pool workers")
 def test_pool_workers_score_small_n_without_blas_helpers(two_threads):
     ones = (1,) * len(two_threads)
-    assert run_tasks([100] * 4, _threads_after_decision, jobs=2) == [(ones, 1)] * 4
+    assert run_tasks([100, 1000, 100, 100], _threads_after_decision, jobs=2) == [(ones, 1)] * 4
     assert blas.thread_counts() == two_threads
 
 
 @needs_blas
-def test_pool_workers_score_large_n_on_the_parents_counts(two_threads):
+def test_pool_workers_score_every_n_on_one_thread(two_threads):
     ones = (1,) * len(two_threads)
-    results = run_tasks([100, blas.THREADED_MIN_N, 5000, 100], _counts_inside, jobs=2)
-    assert results == [ones, two_threads, two_threads, ones]
+    results = run_tasks([100, 1000, 5000, 100], _counts_while_scoring, jobs=2)
+    assert results == [[ones] * 2] * 4
     assert blas.thread_counts() == two_threads
+
+
+@needs_blas
+def test_large_n_scores_do_not_depend_on_the_starting_count(two_threads):
+    dataset = _dataset(1000)
+
+    def scores():
+        decisions = [infer_direction(dataset, method) for method in ("KCDC", "ANM")]
+        return [(d.score_xy.score.hex(), d.score_yx.score.hex()) for d in decisions]
+
+    on_two = scores()
+    with blas.one_thread():
+        assert scores() == on_two

@@ -52,6 +52,16 @@ def test_spec_validation():
         KernelSpec(KernelFamily.LOG, bandwidth=2.0)
 
 
+@pytest.mark.parametrize("make", [lambda: rbf(math.inf), lambda: rbf(True),
+                                  lambda: polynomial(True)],
+                         ids=["rbf-inf", "rbf-bool", "poly-bool"])
+def test_spec_rejects_parameters_parse_kernel_rejects(make):
+    # An infinite width gives an all-ones Gram and prints as "rbf:inf";
+    # a bool passes as an int and prints as "rbf:True" or "poly:True".
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_median_heuristic_single_pair():
     assert median_heuristic([0.0, 1.0]) == 1.0
 
