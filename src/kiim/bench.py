@@ -134,15 +134,16 @@ def _check_run(trials: int, seed: int) -> None:
 
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
                   config: RunConfig | None = None, jobs: int = 1) -> tuple[CellResult, ...]:
-    """Accuracy per (cell, method) over seeded independent trials."""
+    """Accuracy per (cell, method) over seeded independent trials; repeats are
+    scored once, in first-seen order."""
     config = config or RunConfig()
     _check_run(trials, seed)
-    methods = tuple(Method(m) for m in methods)
+    methods = tuple(dict.fromkeys(Method(m) for m in methods))
     if not methods:
         raise ValueError("need at least one method")
     check_sample_size(methods, n)
     results = []
-    for mechanism, noise in cells:
+    for mechanism, noise in dict.fromkeys(cells):
         for method in methods:
             tasks = [(mechanism, noise, n, seed ^ t, method, config) for t in range(trials)]
             hits, errors = _run_cell(tasks, _trial_outcome, jobs)
@@ -153,14 +154,15 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
 
 def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int = 0,
                  config: RunConfig | None = None, jobs: int = 1) -> tuple[AblationCellResult, ...]:
-    """Accuracy per (cell, fixed discard count d) for d = 0..d_max."""
+    """Accuracy per (cell, fixed discard count d) for d = 0..d_max; a repeated
+    cell is scored once, in first-seen order."""
     config = config or RunConfig()
     _check_run(trials, seed)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
     check_sample_size((Method.KIIM,), n)
     results = []
-    for mechanism, noise in cells:
+    for mechanism, noise in dict.fromkeys(cells):
         tasks = [(mechanism, noise, n, seed ^ t, d_max, config) for t in range(trials)]
         flags, errors = _run_cell(tasks, _ablation_outcome, jobs)
         for d in range(d_max + 1):

@@ -49,7 +49,7 @@ def parse_method(name: str) -> Method:
 
 
 def parse_methods(text: str) -> tuple[Method, ...]:
-    return tuple(dict.fromkeys(parse_method(item) for item in text.split(",")))
+    return tuple(parse_method(item) for item in text.split(","))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -57,8 +57,7 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         settings.update(read_config_file(args.config))
     # A flag's argparse dest is the name of the field its config key sets.
-    flags = {key: name for key, (name, _, _) in _KEYS.items()}
-    for key, name in (flags | {"composite_mode": "composite_mode"}).items():
+    for key, (name, _, _) in _KEYS.items():
         value = getattr(args, name, None)
         if value is not None:
             settings[key] = value
@@ -252,9 +251,6 @@ def _add_config_flags(parser) -> None:
                         help="cause-role kernel, e.g. rbf:median or product(rbf:median,log,rq)")
     parser.add_argument("--kernel-y", dest="kernel_y", metavar="SPEC",
                         help="effect-role kernel")
-    parser.add_argument("--composite-mode", dest="composite_mode",
-                        choices=("product", "sum"),
-                        help="default composite used when kernels are not given")
     parser.add_argument("--config", metavar="FILE",
                         help="key = value settings file; flags override it")
 

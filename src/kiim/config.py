@@ -6,10 +6,6 @@ Grammar for kernel values::
     rbf            rbf:median       rbf:0.7
     log            rq               poly:3
     product(rbf:median,log,rq)      sum(rbf:0.5,log)
-
-``composite_mode`` is a convenience key: it picks the default composite
-(product or sum) for any kernel key not given explicitly, and is folded
-into the resolved kernels rather than stored.
 """
 
 from __future__ import annotations
@@ -60,49 +56,33 @@ class RunConfig:
 
 
 def parse_kernel(text: str) -> KernelSpec:
-    """Parse the kernel grammar above into a spec."""
+    """Parse the kernel grammar above into a spec.
+
+    Only the grammar is checked here. ``KernelSpec`` alone checks bandwidths,
+    degrees and part counts; a ValueError from it, or from reading a number,
+    becomes a ConfigurationError naming the text.
+    """
     t = text.strip()
-    if not t:
-        raise ConfigurationError("empty kernel expression")
     lowered = t.lower()
-    for fam in (KernelFamily.COMPOSITE_PRODUCT, KernelFamily.COMPOSITE_SUM):
-        if lowered.startswith(fam.value + "(") and t.endswith(")"):
-            parts = [parse_kernel(p) for p in _split_args(t[len(fam.value) + 1:-1])]
-            if len(parts) < 2:
-                raise ConfigurationError(f"composite kernel needs >= 2 parts: {text!r}")
-            return KernelSpec(fam, parts=tuple(parts))
     head, sep, arg = lowered.partition(":")
-    if head == "rbf":
-        if not sep:
-            return rbf()
-        if arg.strip() == MEDIAN:
-            return rbf(MEDIAN)
-        return rbf(_positive_float(arg, text))
-    if head in (KernelFamily.LOG.value, KernelFamily.RATIONAL_QUADRATIC.value):
-        if sep:
-            raise ConfigurationError(f"kernel takes no argument: {text!r}")
-        return KernelSpec(KernelFamily(head))
-    if head == "poly":
-        if not sep:
-            raise ConfigurationError(f"polynomial kernel needs a degree: {text!r}")
-        try:
-            degree = int(arg.strip())
-        except ValueError as exc:
-            raise ConfigurationError(f"bad polynomial degree in {text!r}") from exc
-        if degree < 1:
-            raise ConfigurationError(f"polynomial degree must be at least 1 in {text!r}")
-        return polynomial(degree)
-    raise ConfigurationError(f"unknown kernel expression {text!r}")
-
-
-def _positive_float(arg: str, text: str) -> float:
     try:
-        value = float(arg)
+        for fam in (KernelFamily.COMPOSITE_PRODUCT, KernelFamily.COMPOSITE_SUM):
+            if lowered.startswith(fam.value + "(") and t.endswith(")"):
+                inner = t[len(fam.value) + 1:-1]
+                return KernelSpec(fam, parts=tuple(parse_kernel(p) for p in _split_args(inner)))
+        if head == "rbf":
+            return rbf(MEDIAN if not sep or arg.strip() == MEDIAN else float(arg))
+        if head in (KernelFamily.LOG.value, KernelFamily.RATIONAL_QUADRATIC.value):
+            if sep:
+                raise ConfigurationError(f"kernel takes no argument: {text!r}")
+            return KernelSpec(KernelFamily(head))
+        if head == "poly":
+            if not sep:
+                raise ConfigurationError(f"polynomial kernel needs a degree: {text!r}")
+            return polynomial(int(arg))
     except ValueError as exc:
-        raise ConfigurationError(f"bad bandwidth in {text!r}") from exc
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigurationError(f"bandwidth must be positive and finite in {text!r}")
-    return value
+        raise ConfigurationError(f"bad kernel {text!r}: {exc}") from exc
+    raise ConfigurationError(f"unknown kernel expression {text!r}")
 
 
 def _split_args(inner: str) -> list[str]:
@@ -182,14 +162,7 @@ def build_config(settings: dict[str, str]) -> RunConfig:
 
     Unknown keys are rejected rather than ignored.
     """
-    settings = dict(settings)
-    mode = settings.pop("composite_mode", "product")
-    if mode not in ("product", "sum"):
-        raise ConfigurationError("composite_mode must be product or sum")
-    fields: dict[str, object] = {
-        "kernel_x": default_composite(mode),
-        "kernel_y": default_composite(mode),
-    }
+    fields: dict[str, object] = {}
     for key, value in settings.items():
         if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")

@@ -98,6 +98,8 @@ def _parse_meta(path: Path) -> dict[int, tuple[int, int, int, int, float]]:
         if min(spans) < 1 or spans[1] < spans[0] or spans[3] < spans[2]:
             raise IngestionError("column spans need 1 <= first <= last", path=str(path),
                                  line=lineno)
+        if pid in meta:
+            raise IngestionError(f"repeated pair id {pid}", path=str(path), line=lineno)
         meta[pid] = (*spans, weight)
     if not meta:
         raise IngestionError("metadata file has no rows", path=str(path))
@@ -154,11 +156,12 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     Oversized pairs are subsampled to ``subsample_limit`` points with a
     generator seeded by (seed, pair id), so reports are reproducible.
     Undecided or errored evaluations count as incorrect; the weighted
-    accuracy uses the metadata weights.
+    accuracy uses the metadata weights. A repeated method is scored once,
+    in first-seen order.
     """
     config = config or RunConfig()
     pairs = tuple(pairs)
-    methods = tuple(Method(m) for m in methods)
+    methods = tuple(dict.fromkeys(Method(m) for m in methods))
     if not methods:
         raise ValueError("need at least one method")
     if subsample_limit < 0:

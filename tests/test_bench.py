@@ -1,6 +1,6 @@
 """Monte-Carlo harness tests: the shared worker-pool runner."""
 
-from kiim import Mechanism, Method, Noise, run_synthetic
+from kiim import Mechanism, Method, Noise, run_ablation, run_synthetic
 from kiim.bench import run_tasks
 
 
@@ -18,3 +18,10 @@ def test_synthetic_parallel_run_matches_serial():
     parallel = run_synthetic(cells, methods, trials=8, n=60, seed=5, jobs=2)
     assert len(serial) == 4
     assert serial == parallel
+
+
+def test_repeated_ablation_cells_are_scored_once():
+    cell, other = (Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)
+    ablation = run_ablation([other, other, cell], d_max=1, trials=2, n=30)
+    assert [(r.mechanism, r.noise, r.discarded_top) for r in ablation] == [
+        (*other, 0), (*other, 1), (*cell, 0), (*cell, 1)]

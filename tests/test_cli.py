@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kiim import CausalDecision, Direction, DirectionScore, Mechanism, MechanismSpec, Method, \
-    Noise, PairedDataset, generate, write_pair_text
-from kiim.cli import main, parse_method, parse_methods
+    Noise, PairedDataset, RunConfig, build_config, default_composite, generate, write_pair_text
+from kiim.cli import main, parse_method
 from kiim.report import SCHEMA_VERSION, format_value
 
 
@@ -27,7 +27,6 @@ def _json_output(capsys):
 def test_parse_method_aliases():
     assert parse_method("KIIM") is Method.KIIM
     assert parse_method(" rw-kiim ") is Method.RW_KIIM
-    assert parse_methods("kiim,anm,kiim") == (Method.KIIM, Method.ANM)
 
 
 def test_infer_decides_forward(pair_file, capsys):
@@ -99,6 +98,20 @@ def test_infer_bad_config_file_key(pair_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no_such_key = 1\n")
     assert main(["infer", str(pair_file), "--config", str(cfg)]) == 1
+
+
+def test_composite_mode_is_gone(pair_file, tmp_path, capsys):
+    # The sum composite is spelled through kernel.x and kernel.y.
+    assert main(["infer", str(pair_file), "--composite-mode", "sum"]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("composite_mode = sum\n")
+    capsys.readouterr()
+    assert main(["infer", str(pair_file), "--config", str(cfg)]) == 1
+    assert "composite_mode" in capsys.readouterr().err
+    spelled = build_config({"kernel.x": "sum(rbf:median,log,rq)",
+                            "kernel.y": "sum(rbf:median,log,rq)"})
+    assert spelled == RunConfig(kernel_x=default_composite("sum"),
+                                kernel_y=default_composite("sum"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -173,6 +186,15 @@ def test_synthetic_reruns_are_byte_stable(tmp_path):
         body.pop("timings")
         bodies.append(body)
     assert bodies[0] == bodies[1]
+
+
+def test_repeated_cells_and_methods_are_scored_once(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["synthetic", "--cells", "ANM1:Gaussian,ANM1:Gaussian",
+                 "--methods", "kiim,anm,kiim", "--trials", "2", "--n", "30",
+                 "--out-dir", str(out)]) == 0
+    rows = [line.split(",")[:3] for line in (out / "synthetic.csv").read_text().splitlines()[1:]]
+    assert rows == [["ANM1", "Gaussian", "KIIM"], ["ANM1", "Gaussian", "ANM"]]
 
 
 def test_synthetic_rejects_unknown_cell(tmp_path, capsys):

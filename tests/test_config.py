@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kiim import ConfigurationError, KernelFamily, RunConfig, \
+from kiim import ConfigurationError, RunConfig, \
     build_config, config_digest, default_composite, kernel_sum, kernel_to_text, \
     log_kernel, parse_kernel, polynomial, product, rational_quadratic, rbf, \
     read_config_file, serialize_config
@@ -97,19 +97,6 @@ def test_build_config_threads_lambda_into_baselines():
         assert getattr(config, name) == getattr(RunConfig(), name)  # KCDC reads config.lam
 
 
-def test_build_config_composite_mode():
-    config = build_config({"composite_mode": "sum"})
-    assert config.kernel_x == default_composite("sum")
-    assert config.kernel_x.family is KernelFamily.COMPOSITE_SUM
-    assert config.kernel_y == default_composite("sum")
-
-
-def test_build_config_explicit_kernel_beats_mode():
-    config = build_config({"composite_mode": "sum", "kernel.x": "rbf:1.0"})
-    assert config.kernel_x == rbf(1.0)
-    assert config.kernel_y == default_composite("sum")
-
-
 def test_build_config_baseline_keys():
     config = build_config({
         "kcdc.kernel_in": "rbf:2.0",
@@ -124,7 +111,7 @@ def test_build_config_baseline_keys():
 
 
 @pytest.mark.parametrize("settings", [
-    {"composite_mode": "both"},
+    {"composite_mode": "sum"},
     {"unknown_key": "1"},
     {"lambda": "zero"},
     {"lambda": "-1"},
@@ -210,4 +197,4 @@ def test_formats_doc_lists_every_config_key():
     doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
     section = doc.split("## Config files", 1)[1].split("\n#", 1)[0]
     keys = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
-    assert sorted(keys) == sorted([*config_items(RunConfig()), "composite_mode"])
+    assert sorted(keys) == sorted(config_items(RunConfig()))

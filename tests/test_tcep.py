@@ -83,6 +83,7 @@ def test_short_metadata_row_reports_line(tmp_path):
     "0001 0 0 2 2 1\n",
     "0001 2 1 2 2 1\n",
     "",
+    "0001 1 1 2 2 1\n0001 2 2 1 1 0.5\n",
 ])
 def test_bad_metadata_rows(tmp_path, row):
     write_pair_text(tmp_path / "pair0001.txt", _anm1(0))
@@ -199,6 +200,14 @@ def test_methods_accept_plain_strings(tmp_path):
     root = _tiny_dir(tmp_path, [_stack(_anm1(6))])
     report = evaluate_tcep(load_tcep(root), ["KIIM"])
     assert report.accuracies[0].method is Method.KIIM
+
+
+def test_repeated_method_is_scored_once(tmp_path):
+    root = _tiny_dir(tmp_path, [_stack(_anm1(seed)) for seed in range(3)])
+    report = evaluate_tcep(load_tcep(root), ["KIIM", Method.ANM, Method.KIIM])
+    assert [(a.method, a.evaluated) for a in report.accuracies] == [(Method.KIIM, 3),
+                                                                    (Method.ANM, 3)]
+    assert len(report.results) == 6
 
 
 def test_evaluate_requires_methods_and_usable_pairs(tmp_path):
