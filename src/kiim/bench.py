@@ -82,24 +82,25 @@ def parse_cells(text: str) -> tuple[tuple[Mechanism, Noise], ...]:
     return tuple(cells)
 
 
-def _trial_outcome(task) -> tuple[bool, str | None]:
-    mechanism, noise, n, seed, method, config = task
+def _synthetic_trial(mechanism, noise, n, seed, method, config) -> bool:
     spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
-    try:
-        decision = infer_direction(generate(spec), method, config)
-    except TRIAL_ERRORS as exc:
-        return False, f"{mechanism.value}/{noise.value} seed {seed} {method.value}: {exc}"
-    return decision.direction is Direction.X_TO_Y, None
+    return infer_direction(generate(spec), method, config).direction is Direction.X_TO_Y
 
 
-def _ablation_outcome(task) -> tuple[tuple[bool, ...], str | None]:
-    mechanism, noise, n, seed, d_max, config = task
+def _ablation_trial(mechanism, noise, n, seed, d_max, config) -> tuple[bool, ...]:
     spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
+    return tuple(p.direction is Direction.X_TO_Y
+                 for p in rank_ablation(generate(spec), d_max, config))
+
+
+def _run_trial(task) -> tuple:
+    """``(fn(*args), None)`` for a task ``(fn, *args)``, or ``(None, message)``
+    when ``fn`` raises one of ``TRIAL_ERRORS``."""
+    fn, *args = task
     try:
-        points = rank_ablation(generate(spec), d_max, config)
+        return fn(*args), None
     except TRIAL_ERRORS as exc:
-        return (False,) * (d_max + 1), f"{mechanism.value}/{noise.value} seed {seed}: {exc}"
-    return tuple(p.direction is Direction.X_TO_Y for p in points), None
+        return None, str(exc) or repr(exc)
 
 
 def run_tasks(tasks, worker, jobs: int) -> list:
@@ -115,21 +116,29 @@ def run_tasks(tasks, worker, jobs: int) -> list:
     return [worker(task) for task in tasks]
 
 
-def _run_cell(tasks, worker, jobs: int) -> tuple[list, int]:
-    """Run one cell's (value, failure message) tasks; return the values and
-    the failure count, logging each failure."""
-    outcomes = run_tasks(tasks, worker, jobs)
-    failures = [msg for _, msg in outcomes if msg]
-    for msg in failures:
-        log.warning("trial failed: %s", msg)
-    return [value for value, _ in outcomes], len(failures)
+def run_trials(tasks, label, jobs: int) -> list[tuple]:
+    """``run_tasks`` over ``(fn, *args)`` tasks with ``_run_trial``; each failure
+    of task i logs one warning, ``trial failed: <label(i)>: <message>``."""
+    outcomes = run_tasks(tasks, _run_trial, jobs)
+    for i, (_, error) in enumerate(outcomes):
+        if error is not None:
+            log.warning("trial failed: %s: %s", label(i), error)
+    return outcomes
 
 
-def _check_run(trials: int, seed: int) -> None:
+def _check_run(methods, seed: int, n: int | None, trials: int = 1) -> tuple[Method, ...]:
+    """The argument check shared by every run; returns the methods with repeats
+    dropped, in first-seen order. ``n=None`` skips the sample-size check."""
     if trials < 1:
         raise ValueError("need at least 1 trial")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    methods = tuple(dict.fromkeys(Method(m) for m in methods))
+    if not methods:
+        raise ValueError("need at least one method")
+    if n is not None:
+        check_sample_size(methods, n)
+    return methods
 
 
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
@@ -137,18 +146,18 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
     """Accuracy per (cell, method) over seeded independent trials; repeats are
     scored once, in first-seen order."""
     config = config or RunConfig()
-    _check_run(trials, seed)
-    methods = tuple(dict.fromkeys(Method(m) for m in methods))
-    if not methods:
-        raise ValueError("need at least one method")
-    check_sample_size(methods, n)
+    methods = _check_run(methods, seed, n, trials)
     results = []
     for mechanism, noise in dict.fromkeys(cells):
+        cell = f"{mechanism.value}/{noise.value}"
         for method in methods:
-            tasks = [(mechanism, noise, n, seed ^ t, method, config) for t in range(trials)]
-            hits, errors = _run_cell(tasks, _trial_outcome, jobs)
+            tasks = [(_synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
+                     for t in range(trials)]
+            outcomes = run_trials(tasks, lambda t: f"{cell} seed {seed ^ t} {method.value}", jobs)
+            hits = [hit for hit, _ in outcomes]
             results.append(CellResult(mechanism=mechanism, noise=noise, method=method,
-                                      trials=trials, correct=sum(hits), errors=errors))
+                                      trials=trials, correct=hits.count(True),
+                                      errors=hits.count(None)))
     return tuple(results)
 
 
@@ -157,16 +166,18 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     """Accuracy per (cell, fixed discard count d) for d = 0..d_max; a repeated
     cell is scored once, in first-seen order."""
     config = config or RunConfig()
-    _check_run(trials, seed)
+    _check_run((Method.KIIM,), seed, n, trials)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
-    check_sample_size((Method.KIIM,), n)
     results = []
     for mechanism, noise in dict.fromkeys(cells):
-        tasks = [(mechanism, noise, n, seed ^ t, d_max, config) for t in range(trials)]
-        flags, errors = _run_cell(tasks, _ablation_outcome, jobs)
+        cell = f"{mechanism.value}/{noise.value}"
+        tasks = [(_ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
+                 for t in range(trials)]
+        outcomes = run_trials(tasks, lambda t: f"{cell} seed {seed ^ t}", jobs)
+        flags = [f for f, _ in outcomes if f is not None]
         for d in range(d_max + 1):
             results.append(AblationCellResult(
                 mechanism=mechanism, noise=noise, discarded_top=d, trials=trials,
-                correct=sum(f[d] for f in flags), errors=errors))
+                correct=sum(f[d] for f in flags), errors=trials - len(flags)))
     return tuple(results)

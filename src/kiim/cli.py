@@ -143,11 +143,10 @@ def cmd_tcep(args) -> int:
                            subsample_limit=args.subsample_limit, jobs=args.jobs)
     elapsed = time.monotonic() - started
     out = _out_dir(args)
-    rows = [(r.pair_id, r.method,
-             r.score_xy, r.score_yx,
-             "error" if r.error else r.direction, r.correct) for r in report.results]
-    write_csv(out / "tcep_pairs.csv",
-              ["pair_id", "method", "score_xy", "score_yx", "decision", "correct"], rows)
+    _write_records(out / "tcep_pairs.csv", [
+        {"pair_id": r.pair_id, "method": r.method, "score_xy": r.score_xy,
+         "score_yx": r.score_yx, "decision": "error" if r.error else r.direction,
+         "correct": r.correct} for r in report.results])
     write_json_summary(out / "tcep_summary.json", _summary("tcep", config, args.seed, elapsed, {
         "subsample_limit": args.subsample_limit,
         "loaded": report.loaded,

@@ -58,6 +58,10 @@ class KernelSpec:
 
     def __post_init__(self):
         fam = self.family
+        if not isinstance(fam, KernelFamily):
+            raise ValueError(f"kernel family must be a KernelFamily, got {fam!r}")
+        if not all(isinstance(part, KernelSpec) for part in self.parts):
+            raise ValueError("every kernel part must be a KernelSpec")
         if fam is KernelFamily.RBF:
             bw = self.bandwidth
             if bw != MEDIAN and not (isinstance(bw, (int, float)) and not isinstance(bw, bool)
@@ -156,15 +160,13 @@ def _evaluate(spec: KernelSpec, a, b, d2):
         return 1.0 - d2 / (d2 + 1.0)
     if fam is KernelFamily.POLYNOMIAL:
         return (a * b + 1.0) ** spec.degree
-    if fam in _COMPOSITES:
-        # Folded left to right into the first part's fresh array, in place.
-        combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
-        first, *rest = spec.parts
-        out = _evaluate(first, a, b, d2)
-        for part in rest:
-            combine(out, _evaluate(part, a, b, d2), out=out)
-        return out
-    raise ConfigurationError(f"unknown kernel family {fam!r}")
+    # A composite, folded left to right into the first part's fresh array, in place.
+    combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
+    first, *rest = spec.parts
+    out = _evaluate(first, a, b, d2)
+    for part in rest:
+        combine(out, _evaluate(part, a, b, d2), out=out)
+    return out
 
 
 def gram(spec: KernelSpec, samples) -> np.ndarray:

@@ -14,23 +14,20 @@ xs is the annotated cause, making XtoY the correct answer everywhere.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bench import run_tasks
+from .bench import _check_run, run_trials
 from .config import RunConfig
-from .errors import TRIAL_ERRORS, IngestionError
+from .errors import IngestionError
 from .pairs import Direction, PairedDataset, read_pair_file
-from .scoring import Method, check_sample_size, infer_direction
+from .scoring import Method, infer_direction
 
 MULTIVARIATE_IDS = frozenset({52, 53, 54, 55, 71, 105})
 MISSING_VALUE_IDS = frozenset({81, 82, 83})
 NO_GROUND_TRUTH_IDS = frozenset({86})
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +89,8 @@ def _parse_meta(path: Path) -> dict[int, tuple[int, int, int, int, float]]:
         except ValueError as exc:
             raise IngestionError("non-numeric metadata field", path=str(path),
                                  line=lineno) from exc
+        if pid < 1:
+            raise IngestionError("pair id must be at least 1", path=str(path), line=lineno)
         if not 0 < weight < np.inf:  # NaN fails too
             raise IngestionError("weight must be positive and finite", path=str(path),
                                  line=lineno)
@@ -136,19 +135,6 @@ def load_tcep(directory) -> tuple[TcepPair, ...]:
     return tuple(pairs)
 
 
-def _evaluate_one(task) -> PairResult:
-    pair_id, dataset, method, config = task
-    try:
-        decision = infer_direction(dataset, method, config)
-    except TRIAL_ERRORS as exc:
-        return PairResult(pair_id=pair_id, method=method, score_xy=None, score_yx=None,
-                          direction=None, correct=False, error=str(exc) or repr(exc))
-    return PairResult(pair_id=pair_id, method=method,
-                      score_xy=decision.score_xy.score, score_yx=decision.score_yx.score,
-                      direction=decision.direction,
-                      correct=decision.direction is Direction.X_TO_Y)
-
-
 def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0,
                   subsample_limit: int = 1000, jobs: int = 1) -> TcepReport:
     """Score every usable pair with every method and tally accuracies.
@@ -161,31 +147,30 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     """
     config = config or RunConfig()
     pairs = tuple(pairs)
-    methods = tuple(dict.fromkeys(Method(m) for m in methods))
-    if not methods:
-        raise ValueError("need at least one method")
     if subsample_limit < 0:
         raise ValueError("subsample limit must be nonnegative (0 disables subsampling)")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if subsample_limit:
-        check_sample_size(methods, subsample_limit)
+    methods = _check_run(methods, seed, subsample_limit or None)
     usable = [p for p in pairs if not p.excluded]
     if not usable:
         raise ValueError("no usable pairs to evaluate")
-    tasks = []
+    keys, tasks = [], []
     for pair in usable:
         dataset = pair.dataset
         if subsample_limit and dataset.n > subsample_limit:
             rng = np.random.default_rng([seed, pair.id])
             dataset = dataset.subsampled(subsample_limit, rng)
         for method in methods:
-            tasks.append((pair.id, dataset, method, config))
-    results = sorted(run_tasks(tasks, _evaluate_one, jobs),
-                     key=lambda r: (r.pair_id, r.method.value))
-    for r in results:
-        if r.error:
-            log.warning("trial failed: pair %d %s: %s", r.pair_id, r.method.value, r.error)
+            keys.append((pair.id, method))
+            tasks.append((infer_direction, dataset, method, config))
+    outcomes = run_trials(tasks, lambda i: f"pair {keys[i][0]} {keys[i][1].value}", jobs)
+    results = []
+    for (pid, method), (d, error) in zip(keys, outcomes):
+        if d is None:
+            results.append(PairResult(pid, method, None, None, None, False, error))
+        else:
+            results.append(PairResult(pid, method, d.score_xy.score, d.score_yx.score,
+                                      d.direction, d.direction is Direction.X_TO_Y))
+    results.sort(key=lambda r: (r.pair_id, r.method.value))
     weights = {p.id: p.weight for p in usable}
     accuracies = []
     for method in methods:

@@ -1,6 +1,11 @@
 """Monte-Carlo harness tests: the shared worker-pool runner."""
 
-from kiim import Mechanism, Method, Noise, run_ablation, run_synthetic
+import logging
+
+import pytest
+
+import kiim.bench
+from kiim import Mechanism, Method, Noise, NumericalError, run_ablation, run_synthetic
 from kiim.bench import run_tasks
 
 
@@ -25,3 +30,26 @@ def test_repeated_ablation_cells_are_scored_once():
     ablation = run_ablation([other, other, cell], d_max=1, trials=2, n=30)
     assert [(r.mechanism, r.noise, r.discarded_top) for r in ablation] == [
         (*other, 0), (*other, 1), (*cell, 0), (*cell, 1)]
+
+
+@pytest.mark.parametrize("run", ["synthetic", "ablation"])
+def test_failed_trials_are_counted_and_logged_once(monkeypatch, caplog, run):
+    def fail(*args):
+        raise NumericalError("singular ridge system")
+
+    trials, seed = 3, 4
+    cell = (Mechanism.ANM1, Noise.GAUSSIAN)
+    with caplog.at_level(logging.WARNING, logger="kiim.bench"):
+        if run == "synthetic":
+            monkeypatch.setattr(kiim.bench, "infer_direction", fail)
+            results = run_synthetic([cell], [Method.KIIM], trials=trials, n=30, seed=seed)
+            suffix = " KIIM"
+        else:
+            monkeypatch.setattr(kiim.bench, "rank_ablation", fail)
+            results = run_ablation([cell], d_max=1, trials=trials, n=30, seed=seed)
+            suffix = ""
+    assert [(r.errors, r.correct) for r in results] == [(trials, 0)] * len(results)
+    failed = [(r.levelno, r.getMessage()) for r in caplog.records
+              if "trial failed" in r.getMessage()]
+    assert failed == [(logging.WARNING, f"trial failed: ANM1/Gaussian seed {seed ^ t}{suffix}: "
+                       "singular ridge system") for t in range(trials)]

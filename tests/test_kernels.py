@@ -50,6 +50,11 @@ def test_spec_validation():
         product(rbf(1.0))
     with pytest.raises(ValueError):
         KernelSpec(KernelFamily.LOG, bandwidth=2.0)
+    # A family name is not a family, and a composite part must be a spec.
+    with pytest.raises(ValueError):
+        KernelSpec("rbf")
+    with pytest.raises(ValueError):
+        product(rbf(1.0), 3)
 
 
 @pytest.mark.parametrize("make", [lambda: rbf(math.inf), lambda: rbf(True),

@@ -92,6 +92,15 @@ def test_bad_metadata_rows(tmp_path, row):
         load_tcep(tmp_path)
 
 
+@pytest.mark.parametrize("pid", [0, -1])
+def test_pair_id_below_one_is_rejected(tmp_path, pid):
+    # Both files exist: id 0 would read pair0000.txt and id -1 pair-001.txt.
+    write_pair_text(tmp_path / f"pair{pid:04d}.txt", _anm1(0))
+    (tmp_path / "pairmeta.txt").write_text(f"{pid} 1 1 2 2 1.0\n")
+    with pytest.raises(IngestionError, match=r"pair id.*:1"):
+        load_tcep(tmp_path)
+
+
 def test_metadata_column_beyond_table_width(tmp_path):
     write_pair_text(tmp_path / "pair0001.txt", _anm1(0))
     (tmp_path / "pairmeta.txt").write_text("0001 1 1 3 3 1.0\n")
