@@ -62,7 +62,8 @@ class AblationCellResult:
 
 
 def parse_cells(text: str) -> tuple[tuple[Mechanism, Noise], ...]:
-    """Grid selection grammar: ``all`` or comma-separated MECH:NOISE items."""
+    """Grid selection grammar: ``all`` or comma-separated MECH:NOISE items.
+    The runs reject a parsed cell that is not in the grid."""
     if text.strip().lower() == "all":
         return table1_grid()
     cells = []
@@ -71,14 +72,9 @@ def parse_cells(text: str) -> tuple[tuple[Mechanism, Noise], ...]:
         if not sep:
             raise ConfigurationError(f"cell {item!r} must look like ANM1:Gaussian")
         try:
-            cell = (Mechanism(name.strip()), Noise(noise.strip()))
+            cells.append((Mechanism(name.strip()), Noise(noise.strip())))
         except ValueError as exc:
             raise ConfigurationError(f"unknown cell {item!r}") from exc
-        if cell not in table1_grid():
-            raise ConfigurationError(f"cell {item!r} is not in the benchmark grid")
-        cells.append(cell)
-    if not cells:
-        raise ConfigurationError("empty cell selection")
     return tuple(cells)
 
 
@@ -126,9 +122,10 @@ def run_trials(tasks, label, jobs: int) -> list[tuple]:
     return outcomes
 
 
-def _check_run(methods, seed: int, n: int | None, trials: int = 1) -> tuple[Method, ...]:
-    """The argument check shared by every run; returns the methods with repeats
-    dropped, in first-seen order. ``n=None`` skips the sample-size check."""
+def _check_run(cells, methods, seed: int, n: int | None, trials: int = 1) -> tuple:
+    """The argument check shared by every run; returns ``(cells, methods)``, each
+    with repeats dropped, in first-seen order. ``cells=None`` skips the grid
+    check and ``n=None`` the sample-size check."""
     if trials < 1:
         raise ValueError("need at least 1 trial")
     if seed < 0:
@@ -136,9 +133,17 @@ def _check_run(methods, seed: int, n: int | None, trials: int = 1) -> tuple[Meth
     methods = tuple(dict.fromkeys(Method(m) for m in methods))
     if not methods:
         raise ValueError("need at least one method")
+    if cells is not None:
+        cells = tuple(dict.fromkeys((Mechanism(m), Noise(z)) for m, z in cells))
+        if not cells:
+            raise ValueError("empty cell selection")
+        for mechanism, noise in cells:
+            if (mechanism, noise) not in table1_grid():
+                raise ValueError(f"cell '{mechanism.value}:{noise.value}' is not in the "
+                                 "benchmark grid")
     if n is not None:
         check_sample_size(methods, n)
-    return methods
+    return cells, methods
 
 
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
@@ -146,9 +151,9 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
     """Accuracy per (cell, method) over seeded independent trials; repeats are
     scored once, in first-seen order."""
     config = config or RunConfig()
-    methods = _check_run(methods, seed, n, trials)
+    cells, methods = _check_run(cells, methods, seed, n, trials)
     results = []
-    for mechanism, noise in dict.fromkeys(cells):
+    for mechanism, noise in cells:
         cell = f"{mechanism.value}/{noise.value}"
         for method in methods:
             tasks = [(_synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
@@ -166,11 +171,11 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     """Accuracy per (cell, fixed discard count d) for d = 0..d_max; a repeated
     cell is scored once, in first-seen order."""
     config = config or RunConfig()
-    _check_run((Method.KIIM,), seed, n, trials)
+    cells, _ = _check_run(cells, (Method.KIIM,), seed, n, trials)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
     results = []
-    for mechanism, noise in dict.fromkeys(cells):
+    for mechanism, noise in cells:
         cell = f"{mechanism.value}/{noise.value}"
         tasks = [(_ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
                  for t in range(trials)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -267,7 +268,10 @@ def _add_run_flags(parser, trials: bool) -> None:
     parser.add_argument("--out-dir", default="runs", help="report directory (default runs)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kiim`` command line, built on the first call and shared by every
+    later one: parsing leaves the parser unchanged and returns a new namespace."""
     parser = _Parser(prog="kiim",
                      description="Pairwise causal direction inference via the invariance "
                                  "of conditional kernel embeddings.")

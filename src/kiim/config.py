@@ -122,7 +122,7 @@ def read_config_file(path) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

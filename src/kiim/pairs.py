@@ -73,8 +73,8 @@ def read_pair_file(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read pair file: {exc}", path=str(path)) from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()

@@ -72,8 +72,8 @@ class TcepReport:
 
 def _parse_meta(path: Path) -> dict[int, tuple[int, int, int, int, float]]:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read metadata: {exc}", path=str(path)) from exc
     meta: dict[int, tuple[int, int, int, int, float]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -149,7 +149,7 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     pairs = tuple(pairs)
     if subsample_limit < 0:
         raise ValueError("subsample limit must be nonnegative (0 disables subsampling)")
-    methods = _check_run(methods, seed, subsample_limit or None)
+    _, methods = _check_run(None, methods, seed, subsample_limit or None)
     usable = [p for p in pairs if not p.excluded]
     if not usable:
         raise ValueError("no usable pairs to evaluate")

@@ -53,3 +53,21 @@ def test_failed_trials_are_counted_and_logged_once(monkeypatch, caplog, run):
               if "trial failed" in r.getMessage()]
     assert failed == [(logging.WARNING, f"trial failed: ANM1/Gaussian seed {seed ^ t}{suffix}: "
                        "singular ridge system") for t in range(trials)]
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([(Mechanism.ANM2, Noise.GAUSSIAN)], "cell 'ANM2:Gaussian' is not in the benchmark grid"),
+    ([], "empty cell selection"),
+], ids=["off-grid", "empty"])
+@pytest.mark.parametrize("run", ["synthetic", "ablation"])
+def test_runs_reject_cells_outside_the_grid_before_any_trial(monkeypatch, run, cells, message):
+    ran = []
+    run_trials = kiim.bench.run_trials
+    monkeypatch.setattr(kiim.bench, "run_trials",
+                        lambda tasks, *args: ran.extend(tasks) or run_trials(tasks, *args))
+    with pytest.raises(ValueError, match=message):
+        if run == "synthetic":
+            run_synthetic(cells, [Method.KIIM], trials=2, n=30)
+        else:
+            run_ablation(cells, d_max=1, trials=2, n=30)
+    assert ran == []

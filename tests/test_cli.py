@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, emitted files, determinism."""
 
+import argparse
 import json
 import xml.etree.ElementTree as ElementTree
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from kiim import CausalDecision, Direction, DirectionScore, Mechanism, MechanismSpec, Method, \
-    Noise, PairedDataset, RunConfig, build_config, default_composite, generate, write_pair_text
+    Noise, PairedDataset, RunConfig, build_config, config_digest, default_composite, generate, \
+    write_pair_text
 from kiim.cli import main, parse_method
 from kiim.report import SCHEMA_VERSION, format_value
 
@@ -317,3 +319,37 @@ def test_theory_check_prints_statistics(capsys):
     assert "5 sample sets" in stdout
     assert "5 draws" in stdout
     assert "tangent" in stdout
+
+
+def test_repeated_main_calls_share_no_state(pair_file, capsys):
+    assert main(["infer", str(pair_file)]) == 0
+    first = _json_output(capsys)
+    assert main(["infer", str(pair_file), "--method", "anm", "--lambda", "0.01"]) == 0
+    assert _json_output(capsys)["method"] == "ANM"
+    assert main(["infer", str(pair_file), "--no-such-flag"]) == 1
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert main(["theory-check", "--draws", "2"]) == 0
+    assert "2 draws" in capsys.readouterr().out
+    assert main(["infer", str(pair_file)]) == 0
+    last = _json_output(capsys)
+    assert last == first
+    assert last["method"] == "KIIM"
+    assert last["config_digest"] == config_digest(RunConfig())
+
+
+def test_main_builds_its_parser_once(pair_file, monkeypatch, capsys):
+    argvs = [["infer", str(pair_file)], ["infer", str(pair_file), "--method", "igci-gauss"],
+             ["infer", str(pair_file), "--lambda", "x"], ["theory-check", "--draws", "1"],
+             ["synthetic", "--n", "-1"]]
+    assert main(argvs[0]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    codes = [main(argvs[i % len(argvs)]) for i in range(10)]
+    assert codes == [0, 0, 1, 0, 1] * 2
+    assert built == []

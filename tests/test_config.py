@@ -198,3 +198,10 @@ def test_formats_doc_lists_every_config_key():
     section = doc.split("## Config files", 1)[1].split("\n#", 1)[0]
     keys = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
     assert sorted(keys) == sorted(config_items(RunConfig()))
+
+
+def test_read_config_file_undecodable_bytes_name_the_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"lambda = 0.01\n# \xff\n")
+    with pytest.raises(ConfigurationError, match=r"run\.cfg.*utf-8"):
+        read_config_file(path)

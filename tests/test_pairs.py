@@ -118,3 +118,10 @@ def test_load_pair_dataset_needs_two_columns(tmp_path):
     path.write_text("1\n2\n")
     with pytest.raises(IngestionError):
         load_pair_dataset(path)
+
+
+def test_read_pair_file_undecodable_bytes_name_the_file(tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_bytes(b"1 2\n\xff 4\n")
+    with pytest.raises(IngestionError, match=r"utf-8.*pair\.txt"):
+        read_pair_file(path)

@@ -228,3 +228,10 @@ def test_evaluate_requires_methods_and_usable_pairs(tmp_path):
                               excluded=True, exclusion_reason="multivariate")]
     with pytest.raises(ValueError):
         evaluate_tcep(only_excluded, [Method.KIIM])
+
+
+def test_undecodable_metadata_names_the_file(tmp_path):
+    write_pair_text(tmp_path / "pair0001.txt", _anm1(0))
+    (tmp_path / "pairmeta.txt").write_bytes(b"0001 1 1 2 2 1.0\n\xff\n")
+    with pytest.raises(IngestionError, match=r"utf-8.*pairmeta\.txt"):
+        load_tcep(tmp_path)
