@@ -100,14 +100,15 @@ def _run_trial(task) -> tuple:
 
 
 def run_tasks(tasks, worker, jobs: int) -> list:
-    """``[worker(t) for t in tasks]``, in order, on a pool of ``jobs`` processes
-    when ``jobs > 1``; ``worker`` must be a picklable module-level function.
+    """``[worker(t) for t in tasks]``, in order, on one pool of ``min(jobs,
+    len(tasks))`` processes if that is above 1; ``worker`` must be picklable.
 
     The pool is forked on one BLAS thread, so forked workers inherit one
     thread, score on it and never start OpenBLAS helpers (see ``blas``).
     """
-    if jobs > 1:
-        with blas.one_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=4))
     return [worker(task) for task in tasks]
 
@@ -152,17 +153,16 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
     scored once, in first-seen order."""
     config = config or RunConfig()
     cells, methods = _check_run(cells, methods, seed, n, trials)
+    runs = [(mechanism, noise, method) for mechanism, noise in cells for method in methods]
+    tasks = [(_synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
+             for mechanism, noise, method in runs for t in range(trials)]
+    label = "{1.value}/{2.value} seed {4} {5.value}".format
+    outcomes = run_trials(tasks, lambda i: label(*tasks[i]), jobs)
     results = []
-    for mechanism, noise in cells:
-        cell = f"{mechanism.value}/{noise.value}"
-        for method in methods:
-            tasks = [(_synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
-                     for t in range(trials)]
-            outcomes = run_trials(tasks, lambda t: f"{cell} seed {seed ^ t} {method.value}", jobs)
-            hits = [hit for hit, _ in outcomes]
-            results.append(CellResult(mechanism=mechanism, noise=noise, method=method,
-                                      trials=trials, correct=hits.count(True),
-                                      errors=hits.count(None)))
+    for k, (mechanism, noise, method) in enumerate(runs):
+        hits = [hit for hit, _ in outcomes[k * trials:(k + 1) * trials]]
+        results.append(CellResult(mechanism=mechanism, noise=noise, method=method, trials=trials,
+                                  correct=hits.count(True), errors=hits.count(None)))
     return tuple(results)
 
 
@@ -174,13 +174,12 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     cells, _ = _check_run(cells, (Method.KIIM,), seed, n, trials)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
+    tasks = [(_ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
+             for mechanism, noise in cells for t in range(trials)]
+    outcomes = run_trials(tasks, lambda i: "{1.value}/{2.value} seed {4}".format(*tasks[i]), jobs)
     results = []
-    for mechanism, noise in cells:
-        cell = f"{mechanism.value}/{noise.value}"
-        tasks = [(_ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
-                 for t in range(trials)]
-        outcomes = run_trials(tasks, lambda t: f"{cell} seed {seed ^ t}", jobs)
-        flags = [f for f, _ in outcomes if f is not None]
+    for k, (mechanism, noise) in enumerate(cells):
+        flags = [f for f, _ in outcomes[k * trials:(k + 1) * trials] if f is not None]
         for d in range(d_max + 1):
             results.append(AblationCellResult(
                 mechanism=mechanism, noise=noise, discarded_top=d, trials=trials,

@@ -1,12 +1,32 @@
 """Monte-Carlo harness tests: the shared worker-pool runner."""
 
+import functools
 import logging
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import kiim.bench
-from kiim import Mechanism, Method, Noise, NumericalError, run_ablation, run_synthetic
+from kiim import Mechanism, Method, Noise, NumericalError, evaluate_tcep, load_tcep, \
+    run_ablation, run_synthetic
 from kiim.bench import run_tasks
+
+CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
+
+
+def _spy_pools(monkeypatch, **pool_kwargs):
+    """Make ``kiim.bench`` open its pools with ``pool_kwargs``; returns the list
+    that records each pool's ``max_workers``."""
+    opened = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(kiim.bench, "ProcessPoolExecutor", functools.partial(Spy, **pool_kwargs))
+    return opened
 
 
 def test_run_tasks_keeps_task_order_on_a_pool():
@@ -16,6 +36,27 @@ def test_run_tasks_keeps_task_order_on_a_pool():
     assert run_tasks(tasks, abs, jobs=2) == expected
 
 
+def test_run_tasks_opens_no_more_workers_than_tasks(monkeypatch):
+    opened = _spy_pools(monkeypatch)
+    assert run_tasks([-1], abs, jobs=2) == [1]
+    assert opened == []
+    assert run_tasks([-1, 2, -3], abs, jobs=8) == [1, 2, 3]
+    assert opened == [3]
+
+
+@pytest.mark.parametrize("run", ["synthetic", "ablation", "tcep"])
+def test_each_run_call_opens_one_pool(monkeypatch, tcep_dir, run):
+    opened = _spy_pools(monkeypatch)
+    if run == "synthetic":
+        assert len(run_synthetic(CELLS, [Method.KIIM, Method.ANM], trials=2, n=30, jobs=2)) == 4
+    elif run == "ablation":
+        assert len(run_ablation(CELLS, d_max=1, trials=2, n=30, jobs=2)) == 4
+    else:
+        pairs = [p for p in load_tcep(tcep_dir) if p.id <= 4]
+        evaluate_tcep(pairs, [Method.IGCI_UNIFORM, Method.IGCI_GAUSS], jobs=2)
+    assert opened == [2]
+
+
 def test_synthetic_parallel_run_matches_serial():
     cells = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
     methods = [Method.KIIM, Method.IGCI_UNIFORM]
@@ -23,6 +64,22 @@ def test_synthetic_parallel_run_matches_serial():
     parallel = run_synthetic(cells, methods, trials=8, n=60, seed=5, jobs=2)
     assert len(serial) == 4
     assert serial == parallel
+
+
+def test_ablation_parallel_run_matches_serial():
+    serial = run_ablation(CELLS, d_max=2, trials=8, n=60, seed=5, jobs=1)
+    parallel = run_ablation(CELLS, d_max=2, trials=8, n=60, seed=5, jobs=2)
+    assert len(serial) == 6
+    assert serial == parallel
+
+
+def test_pooled_run_under_spawn_matches_serial(monkeypatch):
+    methods = [Method.KIIM, Method.IGCI_UNIFORM]
+    serial = run_synthetic(CELLS, methods, trials=2, n=30, seed=3, jobs=1)
+    # Each spawned worker starts fresh and imports numpy and scipy itself.
+    opened = _spy_pools(monkeypatch, mp_context=multiprocessing.get_context("spawn"))
+    assert run_synthetic(CELLS, methods, trials=2, n=30, seed=3, jobs=2) == serial
+    assert opened == [2]
 
 
 def test_repeated_ablation_cells_are_scored_once():
@@ -53,6 +110,33 @@ def test_failed_trials_are_counted_and_logged_once(monkeypatch, caplog, run):
               if "trial failed" in r.getMessage()]
     assert failed == [(logging.WARNING, f"trial failed: ANM1/Gaussian seed {seed ^ t}{suffix}: "
                        "singular ridge system") for t in range(trials)]
+
+
+def test_one_methods_failures_stay_in_its_own_rows_on_a_pool(monkeypatch, caplog):
+    methods, trials, seed = [Method.KIIM, Method.RW_KIIM], 3, 4
+    clean = run_synthetic(CELLS, methods, trials=trials, n=30, seed=seed, jobs=1)
+    infer = kiim.bench.infer_direction
+
+    def fail_rw_kiim(dataset, method, config):
+        if method is Method.RW_KIIM:
+            raise NumericalError("singular ridge system")
+        return infer(dataset, method, config)
+
+    monkeypatch.setattr(kiim.bench, "infer_direction", fail_rw_kiim)
+    # Forked workers inherit the patched module; a fresh worker would not.
+    opened = _spy_pools(monkeypatch, mp_context=multiprocessing.get_context("fork"))
+    with caplog.at_level(logging.WARNING, logger="kiim.bench"):
+        results = run_synthetic(CELLS, methods, trials=trials, n=30, seed=seed, jobs=2)
+    assert opened == [2]
+    assert [r.method for r in results] == methods * len(CELLS)
+    assert results[0::2] == clean[0::2]
+    assert all(r.errors == 0 for r in results[0::2])
+    assert [(r.errors, r.correct) for r in results[1::2]] == [(trials, 0)] * len(CELLS)
+    failed = [(r.levelno, r.getMessage()) for r in caplog.records
+              if "trial failed" in r.getMessage()]
+    assert failed == [(logging.WARNING, f"trial failed: {cell} seed {seed ^ t} RwKIIM: "
+                       "singular ridge system")
+                      for cell in ("ANM1/Gaussian", "MNM2/Uniform") for t in range(trials)]
 
 
 @pytest.mark.parametrize("cells, message", [
