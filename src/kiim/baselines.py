@@ -103,6 +103,15 @@ def igci_score(dataset: PairedDataset, direction,
     return h_effect - h_cause
 
 
+def _doubly_centered(K: np.ndarray) -> np.ndarray:
+    """H K H of a symmetric K, which is center(center(K)^T), as one fresh
+    F-order array: center(K) is written into its transpose, and its columns
+    are then centred in place."""
+    out = np.empty(K.shape, order="F")
+    center(K, out=out.T)
+    return center(out, out=out)
+
+
 def hsic(u, v, kernel: KernelSpec | None = None) -> float:
     """Hilbert-Schmidt independence statistic (1/n^2) tr(K_u H K_v H).
 
@@ -117,10 +126,10 @@ def hsic(u, v, kernel: KernelSpec | None = None) -> float:
     if u.size < 5:
         raise ValueError("independence statistic needs at least 5 samples")
     n = u.size
-    Ku = gram(kernel, u)
-    Kv = gram(kernel, v)
-    # Ku is symmetric, so H Ku H = center(center(Ku)^T).
-    value = float((center(center(Ku).T) * Kv).sum()) / n**2
+    # A temporary, so numpy forms the product in its buffer (temporary
+    # elision, from 256 KiB) instead of a third n x n array; the sum runs
+    # over that buffer's layout.
+    value = float((_doubly_centered(gram(kernel, u)) * gram(kernel, v)).sum()) / n**2
     return max(value, 0.0)
 
 
@@ -138,8 +147,8 @@ def anm_score(dataset: PairedDataset, direction, config: RunConfig | None = None
     x = standardize(cause)
     y = standardize(effect)
     K = gram(config.anm_kernel, x)
-    alpha = ridge_factorization(K, config.anm_ridge).solve(y)
-    residual = y - K @ alpha
+    residual = y - K @ ridge_factorization(K, config.anm_ridge).solve(y)
+    del K  # freed before hsic builds its two Grams
     # Fixed unit bandwidth: the median heuristic would rescale the residuals
     # and hide how small they are, so the score would not vanish for a near
     # perfect fit. Unit bandwidth matches the median one on the standardized

@@ -13,6 +13,7 @@ matrix, so one factorization serves every right-hand side.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -23,16 +24,21 @@ from .kernels import center
 
 
 class _Factorization:
-    """One-time factorization of a square matrix, reused across solves.
+    """One-time factorization of (matrix + shift I), reused across solves.
 
-    Tries Cholesky first; the default composite kernel is indefinite, so a
-    partial-pivot LU fallback is routine rather than exceptional. Raises a
-    numerical error (with a crude condition estimate from the LU pivots)
-    when the matrix is numerically singular.
+    ``matrix`` is a private F-order array: the shift goes onto its diagonal
+    and the LU overwrites it, so the factor costs no n x n array beyond it.
+    Tries Cholesky first, on a transient copy; the default composite kernel
+    is indefinite, so a partial-pivot LU fallback is routine rather than
+    exceptional. Raises a numerical error (with a crude condition estimate
+    from the LU pivots) when the matrix is numerically singular.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, shift: float):
+        if not 0.0 < shift < math.inf:
+            raise ValueError("ridge shift must be positive and finite")
         self._n = matrix.shape[0]
+        matrix[np.diag_indices(self._n)] += shift
         try:
             self._fac = scipy.linalg.cho_factor(matrix, check_finite=False)
             self._kind = "cholesky"
@@ -41,7 +47,7 @@ class _Factorization:
             pass
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+            lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
         diag = np.abs(np.diag(lu))
         if diag.min() <= np.finfo(float).eps * self._n * diag.max():
             cond = float("inf") if diag.min() == 0.0 else float(diag.max() / diag.min())
@@ -50,17 +56,19 @@ class _Factorization:
         self._fac = (lu, piv)
         self._kind = "lu"
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve against ``rhs``; with ``overwrite`` a private F-order rhs
+        becomes the result, with no copy."""
         if self._kind == "cholesky":
-            return scipy.linalg.cho_solve(self._fac, rhs, check_finite=False)
-        return scipy.linalg.lu_solve(self._fac, rhs, check_finite=False)
+            return scipy.linalg.cho_solve(self._fac, rhs, overwrite_b=overwrite,
+                                          check_finite=False)
+        return scipy.linalg.lu_solve(self._fac, rhs, overwrite_b=overwrite, check_finite=False)
 
 
 def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:
     """Factor (K + shift I) once for reuse across all right-hand sides."""
-    if shift <= 0:
-        raise ValueError("ridge shift must be positive")
-    return _Factorization(np.asarray(K, dtype=float) + shift * np.eye(K.shape[0]))
+    # K + 0.0 is the private copy, bit for bit the off-diagonal of K + shift I.
+    return _Factorization(np.add(K, 0.0, order="F", dtype=float), shift)
 
 
 def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
@@ -81,8 +89,12 @@ def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
     if not 0.5 < clip_quantile <= 1.0:
         raise ValueError("clip quantile must lie in (0.5, 1]")
     h = 1.06 * float(x.std()) * n ** (-0.2)
-    sq = (x[:, None] - x[None, :]) ** 2
-    dens = np.exp(-sq / (2.0 * h * h)).sum(axis=1) / (n * h * np.sqrt(2.0 * np.pi))
+    # exp((x_i - x_j)^2 / (-2 h^2)), step by step in one n x n buffer.
+    kde = np.subtract(x[:, None], x[None, :])
+    np.square(kde, out=kde)
+    kde /= -2.0 * h * h
+    np.exp(kde, out=kde)
+    dens = kde.sum(axis=1) / (n * h * np.sqrt(2.0 * np.pi))
     r = (1.0 / (hi - lo)) / dens
     if clip_quantile < 1.0:
         r = np.minimum(r, np.quantile(r, clip_quantile))
@@ -90,7 +102,6 @@ def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
 
 
 def _reweighted_system(Kx: np.ndarray, r: np.ndarray, lam: float):
-    # A function of its own so that G is freed before the caller's solve.
     n = Kx.shape[0]
     w = np.asarray(r, dtype=float).ravel()
     if w.shape[0] != n:
@@ -98,13 +109,22 @@ def _reweighted_system(Kx: np.ndarray, r: np.ndarray, lam: float):
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise ValueError("reweighting vector must be strictly positive and finite")
     s = np.sqrt(w)
-    # R^{1/2} K_x R^{1/2} is symmetric, so H (.) H = center(center(.)^T).
-    return s, ridge_factorization(center(center(s[:, None] * Kx * s[None, :]).T), lam * n)
+    # G = H R^{1/2} K_x R^{1/2} H in one array: R^{1/2} K_x R^{1/2} is
+    # symmetric, so H (.) H = center(center(.)^T), and the transposed view is
+    # the F-order matrix that the LU overwrites. A Cholesky factor is a copy
+    # of G, which is freed when this function returns.
+    G = s[:, None] * Kx
+    G *= s
+    G = center(G, out=G).T
+    return s, _Factorization(center(G, out=G), lam * n)
 
 
 def reweighted_cond_matrix(Kx: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     """All reweighted coefficients: H R^{1/2} G^{-1} R^{1/2} H K_x with
     G = H R^{1/2} K_x R^{1/2} H + lam n I."""
     s, fac = _reweighted_system(Kx, r, lam)
-    T = fac.solve(s[:, None] * center(Kx))
-    return center(s[:, None] * T)
+    T = center(Kx, out=np.empty(Kx.shape, order="F"))
+    T *= s[:, None]
+    T = fac.solve(T, overwrite=True)
+    T *= s[:, None]
+    return center(T, out=T)

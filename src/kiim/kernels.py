@@ -127,12 +127,20 @@ def median_heuristic(samples) -> float:
     Returns the fallback 1.0 when the median distance is 0 (degenerate
     sample sets with many ties).
     """
-    xs = np.asarray(samples, dtype=float).ravel()
-    if xs.size < 2:
+    xs = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = xs.size
+    if n < 2:
         raise ValueError("median heuristic needs at least 2 samples")
-    upper = np.triu(np.ones((xs.size, xs.size), dtype=bool), 1)
-    dists = np.abs(xs[:, None] - xs[None, :])[upper]
-    med = float(np.median(dists))
+    # For the sorted sample s, row k - 1 (k = 1..n//2) of the wrapped
+    # differences s[(i + k) mod n] - s[i] holds the k-th diagonal s[i + k] - s[i]
+    # and, negated, the (n - k)-th. The rows hold every pair i < j once, except
+    # that for even n the last row holds diagonal n/2 twice; the first
+    # n(n - 1)/2 entries stop before the repeat. Negation is exact, so these
+    # are bit for bit the |x_i - x_j|, with no n x n mask or difference matrix.
+    wrapped = np.lib.stride_tricks.sliding_window_view(np.concatenate((xs, xs)), n)
+    dists = np.subtract(wrapped[1:n // 2 + 1], xs)
+    np.abs(dists, out=dists)
+    med = float(np.median(dists.ravel()[:n * (n - 1) // 2], overwrite_input=True))
     return med if med > 0.0 else 1.0
 
 
@@ -197,8 +205,9 @@ def gram(spec: KernelSpec, samples) -> np.ndarray:
     return values
 
 
-def center(X: np.ndarray) -> np.ndarray:
-    """H X with H = I - (1/n) 1 1^T, by subtracting each column's mean."""
+def center(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """H X with H = I - (1/n) 1 1^T, by subtracting each column's mean;
+    written into ``out`` when given, which may be X itself."""
     if X.shape[0] < 1:
         raise ValueError("centering needs n >= 1")
-    return X - X.mean(axis=0)
+    return np.subtract(X, X.mean(axis=0), out=out)

@@ -100,9 +100,15 @@ class AblationPoint:
 
 
 def _kiim_factor(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
+    """B = H K_x (K_x+lam I)^{-1} K_y, formed as H (K_y - lam S) with
+    S = (K_x+lam I)^{-1} K_y: the two agree because K_x = (K_x+lam I) - lam I.
+    S is solved, shifted and centred in one array, after the factor is freed."""
     if Kx.shape != Ky.shape:
         raise ValueError("Gram matrices must have matching dimensions")
-    return center(Kx @ ridge_factorization(Kx, lam).solve(Ky))
+    S = ridge_factorization(Kx, lam).solve(np.array(Ky, dtype=float, order="F"), overwrite=True)
+    S *= lam
+    np.subtract(Ky, S, out=S)
+    return center(S, out=S)
 
 
 def kiim_matrix(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
@@ -119,8 +125,9 @@ def kiim_matrix(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
 def _coeffs_factor(A: np.ndarray, Ky: np.ndarray) -> np.ndarray:
     """B = H C^T with C = K_y A: column i of A holds the conditional-embedding
     coefficients a_i, so B^T B = C H C^T is the scatter of the centred
-    embeddings, pulled back through the effect Gram matrix."""
-    return center((Ky @ A).T)
+    embeddings, pulled back through the effect Gram matrix. Centred in place."""
+    C_T = (Ky @ A).T
+    return center(C_T, out=C_T)
 
 
 def sym_eig(M) -> Spectrum:
@@ -185,7 +192,11 @@ def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore
     total ||B||_F^2 (with a 1e-6 relative margin for roundoff), the rule
     discards nothing and the score is ||B||_F^2 / n; else the spectrum decides.
     """
-    total = float(np.vdot(B, B))
+    # np.vdot sums over the C-order ravel, which it would copy once per
+    # operand for an F-order B; one ravel keeps that order with one copy.
+    flat = B.ravel()
+    total = float(np.vdot(flat, flat))
+    del flat
     if total > 0.0:
         v = B[np.argmax(np.einsum("ij,ij->i", B, B))]
         for _ in range(3):

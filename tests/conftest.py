@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from kiim import blas
@@ -17,3 +19,17 @@ def blas_threads_unchanged():
     before = [get() for get in getters]
     yield
     assert [get() for get in getters] == before
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` runs fn() and returns the peak bytes that
+    tracemalloc saw allocated while it ran."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -152,3 +152,40 @@ def brute_force_kiim_score(xs, ys, lam=1e-3, threshold=0.9):
     eig = jacobi_eigenvalues(m)
     eig = np.maximum(eig, 0.0)
     return enumerate_energy_rank(eig, threshold)[1]
+
+
+def product_kiim_factor(kx, ky, lam):
+    """B = H K_x (K_x+lam I)^{-1} K_y in its literal product form,
+    center(K_x @ S) with S from a float64 solve."""
+    kx = np.asarray(kx, dtype=float)
+    s = np.linalg.solve(kx + lam * np.eye(kx.shape[0]), np.asarray(ky, dtype=float))
+    b = kx @ s
+    return b - b.mean(axis=0)
+
+
+def longdouble_solve(a, b):
+    """Solve a x = b in np.longdouble by Gaussian elimination with partial
+    pivoting, one pivot row at a time, then back substitution."""
+    a = np.array(a, dtype=np.longdouble)
+    x = np.array(b, dtype=np.longdouble)
+    n = a.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]] = a[[p, k]]
+        x[[k, p]] = x[[p, k]]
+        factors = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
+        x[k + 1:] -= np.outer(factors, x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    return x
+
+
+def longdouble_kiim_factor(kx, ky, lam):
+    """B = H K_x (K_x+lam I)^{-1} K_y in np.longdouble (80-bit on x86),
+    the reference that both float64 forms are measured against."""
+    kx = np.asarray(kx, dtype=np.longdouble)
+    n = kx.shape[0]
+    s = longdouble_solve(kx + np.longdouble(lam) * np.eye(n, dtype=np.longdouble), ky)
+    b = kx @ s
+    return b - b.mean(axis=0)

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
-from kiim import (NumericalError, gram, rbf, reweighted_cond_matrix, reweighting_vector,
-                  ridge_factorization)
+from kiim import (NumericalError, default_composite, gram, kcdc_deviance, rbf,
+                  reweighted_cond_matrix, reweighting_vector, ridge_factorization)
+from test_kernels import _gram_samples
 
 
 def _coeffs(K: np.ndarray, lam: float) -> np.ndarray:
@@ -51,9 +55,37 @@ def test_matrix_columns_match_single_solves():
         np.testing.assert_allclose(A[:, i], fac.solve(K[:, i]), atol=1e-12)
 
 
-def test_ridge_factorization_rejects_nonpositive_shift():
-    with pytest.raises(ValueError):
-        ridge_factorization(np.eye(2), 0.0)
+@pytest.mark.parametrize("shift", [0.0, -1.0, math.nan, math.inf])
+def test_ridge_factorization_rejects_nonpositive_shift(shift):
+    # Every factor path checks in one place: the ridge solve of KIIM, KCDC
+    # and ANM, and Rw-KIIM's system, whose shift is lam * n.
+    with pytest.raises(ValueError, match="ridge shift must be positive and finite"):
+        ridge_factorization(np.eye(2), shift)
+    with pytest.raises(ValueError, match="ridge shift must be positive and finite"):
+        kcdc_deviance(np.eye(5), np.eye(5), shift)
+    with pytest.raises(ValueError, match="ridge shift must be positive and finite"):
+        reweighted_cond_matrix(np.eye(5), np.ones(5), shift)
+
+
+def test_ridge_lu_is_bitwise_that_of_the_shifted_matrix():
+    # The shift goes onto the diagonal of one private copy, factored in place.
+    # The composite Grams hold -0.0 entries, which K + shift I turns into 0.0.
+    for xs in [*_gram_samples(), np.random.default_rng(1).standard_normal(700)]:
+        K = gram(default_composite(), xs)
+        fac = ridge_factorization(K, 1e-3)
+        assert fac._kind == "lu"
+        lu, piv = scipy.linalg.lu_factor(K + 1e-3 * np.eye(xs.size))
+        np.testing.assert_array_equal(fac._fac[0].view(np.uint64), lu.view(np.uint64))
+        np.testing.assert_array_equal(fac._fac[1], piv)
+
+
+def test_ridge_cholesky_is_bitwise_that_of_the_shifted_matrix():
+    K = gram(rbf(), np.random.default_rng(4).standard_normal(300))
+    fac = ridge_factorization(K, 1e-3)
+    assert fac._kind == "cholesky"
+    c, lower = scipy.linalg.cho_factor(K + 1e-3 * np.eye(300))
+    assert fac._fac[1] == lower
+    np.testing.assert_array_equal(fac._fac[0].view(np.uint64), c.view(np.uint64))
 
 
 def test_singular_solve_reports_condition():

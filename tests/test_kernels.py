@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +95,7 @@ def test_median_heuristic_matches_triu_oracle():
     rng = np.random.default_rng(11)
     normal = rng.standard_normal(101)
     inputs = (rng.integers(0, 4, 200).astype(float),  # tie-heavy
+              rng.integers(0, 4, 1000).astype(float),   # tie-heavy, even n = 1000
               np.append(normal, 1e6),                   # one far outlier
               1e4 * rng.uniform(-1.0, 1.0, 150),
               normal)
@@ -164,16 +164,10 @@ def test_composite_gram_matches_reduce_oracle_bitwise(mode):
         np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
-def test_default_gram_peak_memory_at_n_1000():
+def test_default_gram_peak_memory_at_n_1000(traced_peak):
     # The result is 8 MB; n x n temporaries per part once peaked at 48 MB.
     xs = np.random.default_rng(2).standard_normal(1000)
-    tracemalloc.start()
-    try:
-        gram(default_composite(), xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24e6
+    assert traced_peak(lambda: gram(default_composite(), xs)) < 24e6
 
 
 def test_gram_diagonals():

@@ -71,6 +71,46 @@ def test_coeffs_factor_agrees_with_kiim_matrix():
     assert np.abs(got - want).max() <= 1e-10
 
 
+def test_identity_factor_is_as_accurate_as_the_product_form():
+    """B is formed as H (K_y - lam S) with S = (K_x+lam I)^{-1} K_y, not as
+    center(K_x @ S). Against a long-double reference, its scores (||B||_F^2 / n
+    at the default threshold) must err no more than the product form's in
+    the median, and below 1e-13 everywhere."""
+    config = RunConfig()
+    spec = config.kernel_x
+    errors = {"identity": [], "product": []}
+    for mechanism, noise in table1_grid():
+        for n in (60, 100):
+            ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=0))
+            columns = (gram(spec, standardize(ds.xs)), gram(spec, standardize(ds.ys)))
+            for Kx, Ky in (columns, columns[::-1]):
+                ref = oracles.longdouble_kiim_factor(Kx, Ky, config.lam)
+                want = float((ref * ref).sum() / n)
+                for form, B in (("identity", scoring._kiim_factor(Kx, Ky, config.lam)),
+                                ("product", oracles.product_kiim_factor(Kx, Ky, config.lam))):
+                    got = factor_score(B)
+                    assert got.discarded_top == 0
+                    errors[form].append(abs(got.score - want) / want)
+    assert len(errors["identity"]) == 40
+    assert np.median(errors["identity"]) <= np.median(errors["product"])
+    assert max(errors["identity"]) < 1e-13
+
+
+_WORKING_SET_METHODS = (Method.KIIM, Method.RW_KIIM, Method.KCDC, Method.ANM)
+
+
+@pytest.mark.parametrize("method", _WORKING_SET_METHODS, ids=[m.value for m in _WORKING_SET_METHODS])
+def test_decision_holds_at_most_four_n_by_n_arrays(method, traced_peak):
+    """One decision at n = 1000 keeps at most four n x n float64 arrays live,
+    4 n^2 8 bytes, with 1 MB for vectors and Gram row blocks. The
+    sym_eig(B^T B) spectrum path is outside this rule: rank_ablation takes
+    it at n <= 100, and factor_score only when its certificate fails."""
+    n = 1000
+    mechanism, noise = table1_grid()[0]
+    ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=0))
+    assert traced_peak(lambda: infer_direction(ds, method)) < 4 * n * n * 8 + 1e6
+
+
 # -------------------------------------------------------------------- sym_eig
 
 def test_sym_eig_diagonal():
