@@ -16,7 +16,7 @@ from .kernels import MEDIAN, KernelFamily, KernelSpec, center, \
     rational_quadratic, rbf, resolve
 from .pairs import Direction, PairedDataset, load_pair_dataset, read_pair_file, \
     standardize, write_pair_text
-from .scoring import AblationPoint, CausalDecision, DirectionScore, Method, Spectrum, \
+from .scoring import CausalDecision, DirectionScore, Method, Spectrum, \
     energy_rank_score, fixed_discard_score, infer_direction, invariance_matrix, \
     kiim_matrix, kiim_score, rank_ablation, sym_eig
 from .synthdata import Mechanism, MechanismSpec, Noise, generate, table1_grid

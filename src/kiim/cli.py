@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import logging
 import sys
 import time
@@ -24,7 +23,7 @@ from .config import _KEYS, RunConfig, build_config, config_digest, config_items,
 from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
 from .kernels import log_kernel, polynomial, rational_quadratic, rbf
 from .pairs import Direction, load_pair_dataset
-from .report import SCHEMA_VERSION, write_bar_chart, write_csv, write_json_summary, \
+from .report import json_text, write_bar_chart, write_csv, write_json_summary, \
     write_line_chart
 from .scoring import Method, infer_direction
 from .tcep import evaluate_tcep, load_tcep
@@ -89,17 +88,11 @@ def _score_payload(score) -> dict:
     return {k: v for k, v in dataclasses.asdict(score).items() if v is not None}
 
 
-def _write_records(path, records: list[dict]) -> None:
-    """CSV of report records: their keys are the header, their values a row each."""
-    write_csv(path, list(records[0]), [tuple(r.values()) for r in records])
-
-
 def cmd_infer(args) -> int:
     dataset = load_pair_dataset(args.pair_file)
     config = _config_from_args(args)
     decision = infer_direction(dataset, parse_method(args.method), config)
     payload = {
-        "schema": SCHEMA_VERSION,
         "direction": decision.direction.value,
         "method": decision.method.value,
         "config_digest": config_digest(config),
@@ -107,7 +100,7 @@ def cmd_infer(args) -> int:
         "score_xy": _score_payload(decision.score_xy),
         "score_yx": _score_payload(decision.score_yx),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    print(json_text(payload))
     return 2 if decision.direction is Direction.UNDECIDED else 0
 
 
@@ -122,7 +115,7 @@ def cmd_synthetic(args) -> int:
     out = _out_dir(args)
     records = [{**dataclasses.asdict(r), "accuracy": r.accuracy,
                 "accuracy_std": r.accuracy_std} for r in results]
-    _write_records(out / "synthetic.csv", records)
+    write_csv(out / "synthetic.csv", records)
     write_json_summary(out / "synthetic.json", _summary("synthetic", config, args.seed, elapsed, {
         "trials": args.trials,
         "n": args.n,
@@ -144,7 +137,7 @@ def cmd_tcep(args) -> int:
                            subsample_limit=args.subsample_limit, jobs=args.jobs)
     elapsed = time.monotonic() - started
     out = _out_dir(args)
-    _write_records(out / "tcep_pairs.csv", [
+    write_csv(out / "tcep_pairs.csv", [
         {"pair_id": r.pair_id, "method": r.method, "score_xy": r.score_xy,
          "score_yx": r.score_yx, "decision": "error" if r.error else r.direction,
          "correct": r.correct} for r in report.results])
@@ -179,7 +172,7 @@ def cmd_ablation(args) -> int:
     elapsed = time.monotonic() - started
     out = _out_dir(args)
     records = [{**dataclasses.asdict(r), "accuracy": r.accuracy} for r in results]
-    _write_records(out / "ablation.csv", records)
+    write_csv(out / "ablation.csv", records)
     write_json_summary(out / "ablation.json", _summary("ablation", config, args.seed, elapsed, {
         "trials": args.trials,
         "n": args.n,

@@ -35,21 +35,28 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, records: list[dict]) -> None:
+    """One row per record, under the first record's keys as the header; every
+    record must have those keys in that order."""
+    if not records:
+        raise ValueError("need at least one record")
+    header = list(records[0])
     lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row width does not match header")
-        lines.append(",".join(format_value(cell) for cell in row))
+    for record in records:
+        if list(record) != header:
+            raise ValueError("record keys do not match the header")
+        lines.append(",".join(format_value(cell) for cell in record.values()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_json_summary(path, payload: dict) -> None:
+def json_text(payload: dict) -> str:
     """Schema-stamped JSON with sorted keys; rejects NaN/Inf anywhere."""
-    body = {"schema": SCHEMA_VERSION}
-    body.update(payload)
-    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
+def write_json_summary(path, payload: dict) -> None:
+    Path(path).write_text(json_text(payload) + "\n", encoding="utf-8")
 
 
 def _svg_header(title: str) -> list[str]:

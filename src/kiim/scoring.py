@@ -89,16 +89,6 @@ class CausalDecision:
     method: Method
 
 
-@dataclass(frozen=True)
-class AblationPoint:
-    """Scores and decision for one fixed discard count d."""
-
-    discarded_top: int
-    score_xy: DirectionScore
-    score_yx: DirectionScore
-    direction: Direction
-
-
 def _kiim_factor(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> np.ndarray:
     """B = H K_x (K_x+lam I)^{-1} K_y, formed as H (K_y - lam S) with
     S = (K_x+lam I)^{-1} K_y: the two agree because K_x = (K_x+lam I) - lam I.
@@ -282,8 +272,9 @@ def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = N
 
 
 def rank_ablation(dataset: PairedDataset, d_max: int,
-                  config: RunConfig | None = None) -> tuple[AblationPoint, ...]:
-    """Decisions for every fixed discard count d = 0..d_max.
+                  config: RunConfig | None = None) -> tuple[CausalDecision, ...]:
+    """KIIM decisions for every fixed discard count d = 0..d_max; point d
+    has ``discarded_top == d`` in both of its scores.
 
     Both spectra are computed once, from shared Grams, on one BLAS thread
     (``blas.one_thread``); each d then slices the sorted eigenvalues
@@ -292,16 +283,15 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
     config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
-    grams, spectra = {}, {}
+    grams, spectra = {}, []
     with one_thread():
         for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
             B = _invariance_factor(dataset, direction, config, False, grams)
-            spectra[direction] = sym_eig(B.T @ B)
+            spectra.append(sym_eig(B.T @ B))
     points = []
     for d in range(d_max + 1):
-        score_xy = fixed_discard_score(spectra[Direction.X_TO_Y], d)
-        score_yx = fixed_discard_score(spectra[Direction.Y_TO_X], d)
-        points.append(AblationPoint(discarded_top=d, score_xy=score_xy, score_yx=score_yx,
-                                    direction=_decide(score_xy.score, score_yx.score,
-                                                      config.tie_tolerance)))
+        score_xy, score_yx = (fixed_discard_score(spectrum, d) for spectrum in spectra)
+        points.append(CausalDecision(
+            direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
+            score_xy=score_xy, score_yx=score_yx, method=Method.KIIM))
     return tuple(points)

@@ -32,11 +32,16 @@ NO_GROUND_TRUTH_IDS = frozenset({86})
 
 @dataclass(frozen=True, eq=False)
 class TcepPair:
+    """One metadata row; an excluded pair has a reason and no dataset."""
+
     id: int
     dataset: PairedDataset | None
     weight: float
-    excluded: bool
     exclusion_reason: str | None = None
+
+    @property
+    def excluded(self) -> bool:
+        return self.exclusion_reason is not None
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,8 @@ def load_tcep(directory) -> tuple[TcepPair, ...]:
             ys = table[:, effect_first - 1]
             if pid in MISSING_VALUE_IDS or not (np.isfinite(xs).all() and np.isfinite(ys).all()):
                 reason = "missing values"
-        if reason is not None:
-            pairs.append(TcepPair(id=pid, dataset=None, weight=weight, excluded=True,
-                                  exclusion_reason=reason))
-        else:
-            pairs.append(TcepPair(id=pid, dataset=PairedDataset(xs, ys), weight=weight,
-                                  excluded=False))
+        dataset = PairedDataset(xs, ys) if reason is None else None
+        pairs.append(TcepPair(id=pid, dataset=dataset, weight=weight, exclusion_reason=reason))
     return tuple(pairs)
 
 

@@ -7,8 +7,8 @@ import xml.etree.ElementTree as ElementTree
 import pytest
 
 from kiim import Direction, Method
-from kiim.report import SCHEMA_VERSION, format_value, write_bar_chart, write_csv, \
-    write_json_summary, write_line_chart
+from kiim.report import SCHEMA_VERSION, format_value, json_text, write_bar_chart, \
+    write_csv, write_json_summary, write_line_chart
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -35,27 +35,33 @@ def test_format_value_rejects_non_finite(bad):
 
 def test_write_csv_bytes(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["id", "score", "ok"], [[1, 0.5, True], [2, None, False]])
+    write_csv(path, [{"id": 1, "score": 0.5, "ok": True}, {"id": 2, "score": None, "ok": False}])
     assert path.read_bytes() == b"id,score,ok\n1,0.5,true\n2,,false\n"
 
 
 def test_write_csv_is_deterministic(tmp_path):
-    rows = [[i, i / 7.0, Direction.X_TO_Y] for i in range(20)]
+    records = [{"i": i, "v": i / 7.0, "d": Direction.X_TO_Y} for i in range(20)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(a, ["i", "v", "d"], rows)
-    write_csv(b, ["i", "v", "d"], rows)
+    write_csv(a, records)
+    write_csv(b, records)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "out.csv", ["a", "b"], [[1]])
+    # Records with other keys, or the same keys in another order, or none.
+    for records in ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], [{"a": 1, "b": 2}, {"a": 1}],
+                    [{"a": 1, "b": 2}, {"b": 2, "a": 1}], []):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "out.csv", records)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_json_summary_schema_and_sorting(tmp_path):
     path = tmp_path / "summary.json"
-    write_json_summary(path, {"zeta": 1, "alpha": {"b": 2.5, "a": [1, 2]}})
+    payload = {"zeta": 1, "alpha": {"b": 2.5, "a": [1, 2]}}
+    write_json_summary(path, payload)
     text = path.read_text()
+    assert text == json_text(payload) + "\n"
     body = json.loads(text)
     assert body["schema"] == SCHEMA_VERSION
     assert body["zeta"] == 1 and body["alpha"] == {"b": 2.5, "a": [1, 2]}
@@ -71,6 +77,8 @@ def test_json_summary_schema_and_sorting(tmp_path):
 def test_json_summary_rejects_non_finite(tmp_path, payload):
     with pytest.raises(ValueError):
         write_json_summary(tmp_path / "summary.json", payload)
+    with pytest.raises(ValueError):
+        json_text(payload)
 
 
 def test_bar_chart_is_valid_svg_with_labels(tmp_path):

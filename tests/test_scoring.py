@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kiim import (Direction, MechanismSpec, Method, PairedDataset, RunConfig,
+from kiim import (CausalDecision, Direction, MechanismSpec, Method, PairedDataset, RunConfig,
                   Spectrum, generate, table1_grid,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
                   invariance_matrix, kiim_matrix, kiim_score,
                   median_heuristic, rank_ablation, rbf, standardize, sym_eig)
-from kiim import scoring
+from kiim import baselines, scoring
 from kiim.errors import TRIAL_ERRORS
 from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, direction_score, factor_score
 
@@ -262,15 +262,15 @@ def _assert_same_rank_and_score(got, want):
     assert got.score == pytest.approx(want.score, rel=1e-12, abs=0.0)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, modules=(scoring,)):
+    """Record every call of ``name`` made through any of ``modules``."""
     calls = []
-    original = getattr(scoring, name)
+    for module in modules:
+        def spy(*args, _original=getattr(module, name), **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scoring, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -333,15 +333,23 @@ def test_lower_energy_threshold_still_matches_spectrum_path(method):
             _assert_same_rank_and_score(g, w)
 
 
-@pytest.mark.parametrize("method", _INVARIANCE_METHODS, ids=[m.value for m in _INVARIANCE_METHODS])
+# Gram builds per decision: the invariance methods share one Gram per column
+# between the two directions; KCDC builds two per direction, ANM three (its
+# regression and HSIC's two) and IGCI none.
+_GRAMS_PER_DECISION = {Method.KIIM: 2, Method.RW_KIIM: 2, Method.KCDC: 4, Method.ANM: 6,
+                       Method.IGCI_GAUSS: 0, Method.IGCI_UNIFORM: 0}
+
+
+@pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
 def test_decision_builds_each_gram_once(method, monkeypatch):
     ds = _random_dataset(22, n=40)
-    calls = _counting(monkeypatch, "gram")
+    calls = _counting(monkeypatch, "gram", (scoring, baselines))
     infer_direction(ds, method)
-    assert len(calls) == 2
-    calls.clear()
-    infer_direction(ds, method, dataclasses.replace(RunConfig(), kernel_y=rbf()))
-    assert len(calls) == 4
+    assert len(calls) == _GRAMS_PER_DECISION[method]
+    if method in _INVARIANCE_METHODS:
+        calls.clear()
+        infer_direction(ds, method, dataclasses.replace(RunConfig(), kernel_y=rbf()))
+        assert len(calls) == 4
 
 
 def test_rank_ablation_builds_each_gram_once(monkeypatch):
@@ -597,7 +605,9 @@ def test_rank_ablation_d_zero_is_trace_over_n():
     ds = _random_dataset(18, n=20)
     config = RunConfig()
     points = rank_ablation(ds, 3, config)
-    assert [p.discarded_top for p in points] == [0, 1, 2, 3]
+    assert all(isinstance(p, CausalDecision) and p.method is Method.KIIM for p in points)
+    assert [p.score_xy.discarded_top for p in points] == [0, 1, 2, 3]
+    assert [p.score_yx.discarded_top for p in points] == [0, 1, 2, 3]
     m = invariance_matrix(ds, Direction.X_TO_Y, config)
     assert points[0].score_xy.score == pytest.approx(np.trace(m) / 20, rel=1e-9)
 

@@ -224,8 +224,7 @@ def test_evaluate_requires_methods_and_usable_pairs(tmp_path):
     pairs = load_tcep(root)
     with pytest.raises(ValueError):
         evaluate_tcep(pairs, [])
-    only_excluded = [TcepPair(id=1, dataset=None, weight=1.0,
-                              excluded=True, exclusion_reason="multivariate")]
+    only_excluded = [TcepPair(id=1, dataset=None, weight=1.0, exclusion_reason="multivariate")]
     with pytest.raises(ValueError):
         evaluate_tcep(only_excluded, [Method.KIIM])
 
