@@ -99,27 +99,25 @@ def _run_trial(task) -> tuple:
         return None, str(exc) or repr(exc)
 
 
-def run_tasks(tasks, worker, jobs: int) -> list:
-    """``[worker(t) for t in tasks]``, in order, on one pool of ``min(jobs,
-    len(tasks))`` processes if that is above 1; ``worker`` must be picklable.
+def run_trials(tasks, jobs: int) -> list[tuple]:
+    """``_run_trial(task[1:])`` for each task ``(label, fn, *args)``, in order, on
+    one pool of ``min(jobs, len(tasks))`` processes if that is above 1 (so ``fn``
+    must be picklable); then one warning per failure, ``trial failed: <label>:
+    <message>``.
 
     The pool is forked on one BLAS thread, so forked workers inherit one
     thread, score on it and never start OpenBLAS helpers (see ``blas``).
     """
-    workers = min(jobs, len(tasks))
+    calls = [task[1:] for task in tasks]
+    workers = min(jobs, len(calls))
     if workers > 1:
         with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=4))
-    return [worker(task) for task in tasks]
-
-
-def run_trials(tasks, label, jobs: int) -> list[tuple]:
-    """``run_tasks`` over ``(fn, *args)`` tasks with ``_run_trial``; each failure
-    of task i logs one warning, ``trial failed: <label(i)>: <message>``."""
-    outcomes = run_tasks(tasks, _run_trial, jobs)
-    for i, (_, error) in enumerate(outcomes):
+            outcomes = list(pool.map(_run_trial, calls, chunksize=4))
+    else:
+        outcomes = [_run_trial(call) for call in calls]
+    for (label, *_), (_, error) in zip(tasks, outcomes):
         if error is not None:
-            log.warning("trial failed: %s: %s", label(i), error)
+            log.warning("trial failed: %s: %s", label, error)
     return outcomes
 
 
@@ -154,10 +152,10 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
     config = config or RunConfig()
     cells, methods = _check_run(cells, methods, seed, n, trials)
     runs = [(mechanism, noise, method) for mechanism, noise in cells for method in methods]
-    tasks = [(_synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
+    tasks = [(f"{mechanism.value}/{noise.value} seed {seed ^ t} {method.value}",
+              _synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
              for mechanism, noise, method in runs for t in range(trials)]
-    label = "{1.value}/{2.value} seed {4} {5.value}".format
-    outcomes = run_trials(tasks, lambda i: label(*tasks[i]), jobs)
+    outcomes = run_trials(tasks, jobs)
     results = []
     for k, (mechanism, noise, method) in enumerate(runs):
         hits = [hit for hit, _ in outcomes[k * trials:(k + 1) * trials]]
@@ -174,9 +172,10 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     cells, _ = _check_run(cells, (Method.KIIM,), seed, n, trials)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
-    tasks = [(_ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
+    tasks = [(f"{mechanism.value}/{noise.value} seed {seed ^ t}",
+              _ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
              for mechanism, noise in cells for t in range(trials)]
-    outcomes = run_trials(tasks, lambda i: "{1.value}/{2.value} seed {4}".format(*tasks[i]), jobs)
+    outcomes = run_trials(tasks, jobs)
     results = []
     for k, (mechanism, noise) in enumerate(cells):
         flags = [f for f, _ in outcomes[k * trials:(k + 1) * trials] if f is not None]

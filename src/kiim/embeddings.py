@@ -30,8 +30,9 @@ class _Factorization:
     and the LU overwrites it, so the factor costs no n x n array beyond it.
     Tries Cholesky first, on a transient copy; the default composite kernel
     is indefinite, so a partial-pivot LU fallback is routine rather than
-    exceptional. Raises a numerical error (with a crude condition estimate
-    from the LU pivots) when the matrix is numerically singular.
+    exceptional. Either factor is judged by LAPACK's estimate of its
+    reciprocal 1-norm condition number (``pocon`` or ``gecon``), and a
+    numerical error carrying 1 / rcond is raised when rcond <= n eps.
     """
 
     def __init__(self, matrix: np.ndarray, shift: float):
@@ -39,22 +40,22 @@ class _Factorization:
             raise ValueError("ridge shift must be positive and finite")
         self._n = matrix.shape[0]
         matrix[np.diag_indices(self._n)] += shift
+        anorm = scipy.linalg.norm(matrix, 1, check_finite=False)  # LAPACK lange: no copy
         try:
             self._fac = scipy.linalg.cho_factor(matrix, check_finite=False)
-            self._kind = "cholesky"
-            return
         except (np.linalg.LinAlgError, ValueError):
-            pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= np.finfo(float).eps * self._n * diag.max():
-            cond = float("inf") if diag.min() == 0.0 else float(diag.max() / diag.min())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                self._fac = scipy.linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
+            self._kind = "lu"
+            rcond, _ = scipy.linalg.lapack.dgecon(self._fac[0], anorm)
+        else:
+            self._kind = "cholesky"
+            c, lower = self._fac
+            rcond, _ = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if lower else "U")
+        if not rcond > np.finfo(float).eps * self._n:  # NaN fails too
             raise NumericalError("matrix is numerically singular despite ridge",
-                                 condition_estimate=cond)
-        self._fac = (lu, piv)
-        self._kind = "lu"
+                                 condition_estimate=math.inf if rcond == 0 else 1.0 / rcond)
 
     def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Solve against ``rhs``; with ``overwrite`` a private F-order rhs

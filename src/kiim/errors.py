@@ -15,8 +15,8 @@ class ConfigurationError(Exception):
 class NumericalError(Exception):
     """A linear-algebra step failed (singular solve, eigensolver breakdown).
 
-    ``condition_estimate`` carries a rough condition number of the offending
-    matrix when one is available.
+    ``condition_estimate`` carries LAPACK's 1-norm condition estimate of the
+    offending matrix (1 / rcond, ``inf`` at rcond 0) when one is available.
     """
 
     def __init__(self, message: str, condition_estimate: float | None = None):

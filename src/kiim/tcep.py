@@ -15,6 +15,7 @@ xs is the annotated cause, making XtoY the correct answer everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -154,22 +155,20 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     usable = [p for p in pairs if not p.excluded]
     if not usable:
         raise ValueError("no usable pairs to evaluate")
-    keys, tasks = [], []
+    tasks = []
     for pair in usable:
-        dataset = pair.dataset
-        if subsample_limit and dataset.n > subsample_limit:
-            rng = np.random.default_rng([seed, pair.id])
-            dataset = dataset.subsampled(subsample_limit, rng)
-        for method in methods:
-            keys.append((pair.id, method))
-            tasks.append((infer_direction, dataset, method, config))
-    outcomes = run_trials(tasks, lambda i: f"pair {keys[i][0]} {keys[i][1].value}", jobs)
+        # A dataset within the limit (or any, with the limit 0) comes back as is.
+        dataset = pair.dataset.subsampled(subsample_limit or pair.dataset.n,
+                                          np.random.default_rng([seed, pair.id]))
+        tasks += [(f"pair {pair.id} {method.value}", infer_direction, dataset, method, config)
+                  for method in methods]
+    outcomes = run_trials(tasks, jobs)
     results = []
-    for (pid, method), (d, error) in zip(keys, outcomes):
+    for (pair, method), (d, error) in zip(product(usable, methods), outcomes):
         if d is None:
-            results.append(PairResult(pid, method, None, None, None, False, error))
+            results.append(PairResult(pair.id, method, None, None, None, False, error))
         else:
-            results.append(PairResult(pid, method, d.score_xy.score, d.score_yx.score,
+            results.append(PairResult(pair.id, method, d.score_xy.score, d.score_yx.score,
                                       d.direction, d.direction is Direction.X_TO_Y))
     results.sort(key=lambda r: (r.pair_id, r.method.value))
     weights = {p.id: p.weight for p in usable}

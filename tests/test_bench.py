@@ -10,7 +10,7 @@ import pytest
 import kiim.bench
 from kiim import Mechanism, Method, Noise, NumericalError, evaluate_tcep, load_tcep, \
     run_ablation, run_synthetic
-from kiim.bench import run_tasks
+from kiim.bench import run_trials
 
 CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
 
@@ -29,18 +29,19 @@ def _spy_pools(monkeypatch, **pool_kwargs):
     return opened
 
 
-def test_run_tasks_keeps_task_order_on_a_pool():
-    tasks = list(range(-9, 10))
-    expected = [abs(t) for t in tasks]
-    assert run_tasks(tasks, abs, jobs=1) == expected
-    assert run_tasks(tasks, abs, jobs=2) == expected
+def test_run_trials_keeps_task_order_on_a_pool():
+    tasks = [("", abs, t) for t in range(-9, 10)]
+    expected = [(abs(t), None) for t in range(-9, 10)]
+    assert run_trials(tasks, jobs=1) == expected
+    assert run_trials(tasks, jobs=2) == expected
 
 
-def test_run_tasks_opens_no_more_workers_than_tasks(monkeypatch):
+def test_run_trials_opens_no_more_workers_than_tasks(monkeypatch):
     opened = _spy_pools(monkeypatch)
-    assert run_tasks([-1], abs, jobs=2) == [1]
+    assert run_trials([("", abs, -1)], jobs=2) == [(1, None)]
     assert opened == []
-    assert run_tasks([-1, 2, -3], abs, jobs=8) == [1, 2, 3]
+    assert run_trials([("", abs, t) for t in (-1, 2, -3)], jobs=8) == [(1, None), (2, None),
+                                                                        (3, None)]
     assert opened == [3]
 
 

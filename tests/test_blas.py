@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 from kiim import PairedDataset, blas, infer_direction, rank_ablation, scoring
-from kiim.bench import run_tasks
+from kiim.bench import run_trials
 
 needs_blas = pytest.mark.skipif(not blas.thread_counts(),
                                 reason="no OpenBLAS thread control found")
@@ -147,15 +147,16 @@ def _counts_while_scoring(n):
                     reason="needs /proc/self/task and forked pool workers")
 def test_pool_workers_score_small_n_without_blas_helpers(two_threads):
     ones = (1,) * len(two_threads)
-    assert run_tasks([100, 1000, 100, 100], _threads_after_decision, jobs=2) == [(ones, 1)] * 4
+    tasks = [("", _threads_after_decision, n) for n in (100, 1000, 100, 100)]
+    assert run_trials(tasks, jobs=2) == [((ones, 1), None)] * 4
     assert blas.thread_counts() == two_threads
 
 
 @needs_blas
 def test_pool_workers_score_every_n_on_one_thread(two_threads):
     ones = (1,) * len(two_threads)
-    results = run_tasks([100, 1000, 5000, 100], _counts_while_scoring, jobs=2)
-    assert results == [[ones] * 2] * 4
+    tasks = [("", _counts_while_scoring, n) for n in (100, 1000, 5000, 100)]
+    assert run_trials(tasks, jobs=2) == [([ones] * 2, None)] * 4
     assert blas.thread_counts() == two_threads
 
 

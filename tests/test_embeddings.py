@@ -95,6 +95,14 @@ def test_singular_solve_reports_condition():
     assert info.value.condition_estimate > 1e12
 
 
+def test_singular_cholesky_factor_reports_condition():
+    # diag(1, 1e-20) + 1e-30 I is positive definite, so Cholesky succeeds, but
+    # its condition number of 1e20 is far past 1 / (n eps).
+    with pytest.raises(NumericalError) as info:
+        ridge_factorization(np.diag([1.0, 1e-20]), 1e-30)
+    assert info.value.condition_estimate > 1e19
+
+
 def test_reweighting_on_uniform_grid_is_mild():
     xs = np.linspace(0.0, 1.0, 400)
     r = reweighting_vector(xs, clip_quantile=1.0)

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kiim import (CausalDecision, Direction, MechanismSpec, Method, PairedDataset, RunConfig,
-                  Spectrum, generate, table1_grid,
+from kiim import (CausalDecision, Direction, Mechanism, MechanismSpec, Method, Noise,
+                  NumericalError, PairedDataset, RunConfig, Spectrum, generate, table1_grid,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
                   invariance_matrix, kiim_matrix, kiim_score,
                   median_heuristic, rank_ablation, rbf, standardize, sym_eig)
@@ -597,6 +597,32 @@ def test_tie_tolerance_is_configurable():
     loose = dataclasses.replace(RunConfig(), tie_tolerance=1e6)
     decision = infer_direction(ds, Method.KIIM, loose)
     assert decision.direction is Direction.UNDECIDED
+
+
+# lam = -lambda_min of this dataset's composite K_x makes KIIM's K_x + lam I
+# singular (KCDC's log-kernel Gram and Rw-KIIM's G + lam n I are not); at
+# lam = 2.2e-16 the ridge is below roundoff in every method's system. A pivot
+# ratio let KIIM's case through to a score of 4.4e29 and Rw-KIIM's to 4e23.
+@pytest.mark.parametrize("method, lam", [
+    (Method.KIIM, 7.304923144063962),
+    (Method.RW_KIIM, 2.2e-16),
+    (Method.KCDC, 2.2e-16),
+])
+def test_singular_ridge_system_raises_instead_of_deciding(method, lam):
+    ds = generate(MechanismSpec(mechanism=Mechanism.ANM1, noise=Noise.GAUSSIAN, n=100, seed=0))
+    with pytest.raises(NumericalError, match="numerically singular") as info:
+        infer_direction(ds, method, RunConfig(lam=lam))
+    assert info.value.condition_estimate > 1e14
+
+
+@pytest.mark.xfail(strict=True, reason="KIIM reads the heavy-tailed effect side as the cause")
+def test_kiim_decides_a_log_mechanism_with_a_heavy_tailed_cause():
+    # The cause x is log-normal, the effect log(x) plus noise. On seeds 0-4
+    # KIIM decided YtoX all 5 times and ANM decided XtoY 4 times.
+    rng = np.random.default_rng(0)
+    x = np.exp(2 * rng.standard_normal(100))
+    y = np.log(x) + 0.3 * rng.standard_normal(100)
+    assert infer_direction(PairedDataset(x, y), Method.KIIM).direction is Direction.X_TO_Y
 
 
 # -------------------------------------------------------------- rank_ablation

@@ -159,13 +159,14 @@ def test_identical_columns_are_undecided_and_incorrect(tmp_path):
     assert not result.correct
 
 
-def test_method_error_is_recorded_and_run_continues(tmp_path, caplog):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_method_error_is_recorded_and_run_continues(tmp_path, caplog, jobs):
     good = _stack(_anm1(4))
     ds = _anm1(5)
     degenerate = np.column_stack([ds.xs, np.ones(ds.n)])
     root = _tiny_dir(tmp_path, [good, degenerate])
-    with caplog.at_level(logging.WARNING, logger="kiim.tcep"):
-        report = evaluate_tcep(load_tcep(root), [Method.KIIM])
+    with caplog.at_level(logging.WARNING, logger="kiim.bench"):
+        report = evaluate_tcep(load_tcep(root), [Method.KIIM], jobs=jobs)
     by_id = {r.pair_id: r for r in report.results}
     assert by_id[1].correct and by_id[1].error is None
     assert by_id[2].error is not None and not by_id[2].correct
