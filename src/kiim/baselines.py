@@ -11,7 +11,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.special import digamma
 
 from .config import RunConfig
 from .embeddings import ridge_factorization
@@ -63,9 +62,9 @@ def kcdc_score(dataset: PairedDataset, direction, config: RunConfig | None = Non
 def spacing_entropy(values) -> float:
     """Differential entropy via 1-spacings of the sorted sample.
 
-    H = psi(n) - psi(1) + mean over the n-1 gaps of log(gap), where zero
-    gaps (tied values) are skipped in the sum but still counted in the
-    denominator.
+    H = H_{n-1} + mean over the n-1 gaps of log(gap), with the harmonic
+    number H_{n-1} = psi(n) - psi(1); zero gaps (tied values) are skipped
+    in the sum but still counted in the denominator.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = v.size
@@ -75,7 +74,7 @@ def spacing_entropy(values) -> float:
     positive = gaps[gaps > 0]
     if positive.size == 0:
         raise ValueError("entropy estimate needs at least 2 distinct values")
-    return float(digamma(n) - digamma(1) + np.log(positive).sum() / (n - 1))
+    return float((1.0 / np.arange(1, n)).sum() + np.log(positive).sum() / (n - 1))
 
 
 def _reference_normalize(values: np.ndarray, reference: IgciReference) -> np.ndarray:
@@ -84,6 +83,8 @@ def _reference_normalize(values: np.ndarray, reference: IgciReference) -> np.nda
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         raise ValueError("cannot normalize a constant variable")
+    if not hi - lo < np.inf:
+        raise ValueError("cannot normalize: the range overflows")
     return (values - lo) / (hi - lo)
 
 

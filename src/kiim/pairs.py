@@ -55,11 +55,14 @@ class PairedDataset:
 
 
 def standardize(values) -> np.ndarray:
-    """Zero-mean, unit-variance rescaling; rejects constant sequences."""
+    """Zero-mean, unit-variance rescaling; rejects a constant or overflowing spread."""
     v = np.asarray(values, dtype=float).ravel()
-    sd = float(v.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below instead
+        sd = float(v.std())
     if sd == 0.0:
         raise ValueError("cannot standardize a constant variable")
+    if not sd < np.inf:  # NaN fails too
+        raise ValueError("cannot standardize: the variance overflows")
     return (v - v.mean()) / sd
 
 

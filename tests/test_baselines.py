@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 import oracles
 from kiim import (ConfigurationError, Direction, IgciReference, Mechanism,
@@ -99,6 +100,30 @@ def test_spacing_entropy_skips_ties():
     # positive gaps are both 1: the log terms vanish, leaving psi(5) - psi(1)
     h4 = math.fsum(1.0 / k for k in range(1, 5))
     assert spacing_entropy([0.0, 0.0, 1.0, 1.0, 2.0]) == pytest.approx(h4, rel=1e-12)
+
+
+def _log_spacing_mean(values):
+    gaps = np.diff(np.sort(values))
+    return np.log(gaps[gaps > 0]).sum() / (len(values) - 1)
+
+
+_SPACING_SAMPLES = [np.random.default_rng(n).standard_normal(n)
+                    for n in (2, 3, 10, 100, 1000, 5000)]
+# 400 draws of 6 values: all but 5 gaps are ties
+_SPACING_SAMPLES.append(np.random.default_rng(7).integers(0, 6, 400).astype(float))
+
+
+@pytest.mark.parametrize("values", _SPACING_SAMPLES, ids=lambda v: f"n{v.size}")
+def test_spacing_entropy_constant_is_digammas_difference(values):
+    # H_{n-1} is psi(n) - psi(1); kiim sums it instead of importing digamma
+    n = values.size
+    expected = digamma(n) - digamma(1) + _log_spacing_mean(values)
+    assert spacing_entropy(values) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def test_spacing_entropy_of_two_values_is_one_plus_the_log_gap():
+    values = np.array([0.3, -1.7])
+    assert spacing_entropy(values) == 1.0 + _log_spacing_mean(values)
 
 
 def test_spacing_entropy_degenerate_inputs():

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +357,13 @@ def test_main_builds_its_parser_once(pair_file, monkeypatch, capsys):
     codes = [main(argvs[i % len(argvs)]) for i in range(10)]
     assert codes == [0, 0, 1, 0, 1] * 2
     assert built == []
+
+
+def test_importing_the_cli_loads_no_scipy_special():
+    # scipy.linalg is kiim's only scipy import; scipy.special would add
+    # about 3.6 MB to every run's resident set
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, kiim.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from adversarial_fixture import real_pair_shapes
 from kiim import (CausalDecision, Direction, Mechanism, MechanismSpec, Method, Noise,
                   NumericalError, PairedDataset, RunConfig, Spectrum, generate, table1_grid,
                   energy_rank_score, fixed_discard_score, gram, infer_direction,
@@ -483,28 +484,6 @@ def test_kiim_score_affine_invariant(method, seed, n, ax, bx, ay, by):
     _assert_same_scores(ds, PairedDataset(ax * ds.xs + bx, ay * ds.ys + by), method)
 
 
-def _real_pair_shapes(seed, n):
-    """One dataset per column shape that real cause-effect pairs show."""
-    rng = np.random.default_rng(seed)
-    xs, noise = rng.standard_normal(n), rng.standard_normal(n)
-    ties = rng.integers(0, 4, n).astype(float)
-    binary = rng.integers(0, 2, n).astype(float)
-    outlier = xs + noise
-    outlier[rng.integers(n)] = 1e6
-    half = xs[:(n + 1) // 2]
-    half_y = np.tanh(half) + 0.1 * noise[:half.size]
-    return {
-        "integer-ties": PairedDataset(ties, ties**2 + rng.integers(0, 3, n)),
-        "binary-cause": PairedDataset(binary, binary + 0.1 * noise),
-        "outlier-1e6": PairedDataset(xs, outlier),
-        "scale-1e-9": PairedDataset(1e-9 * xs, 1e-9 * (xs**3 + noise)),
-        "scale-1e9": PairedDataset(1e9 * xs, 1e9 * (xs**3 + noise)),
-        "duplicated-rows": PairedDataset(np.tile(half, 2)[:n], np.tile(half_y, 2)[:n]),
-        "linear-map": PairedDataset(xs, 2.0 * xs + 1.0),
-        "single-y": PairedDataset(xs, np.full(n, 3.0)),
-    }
-
-
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(seed=_SEEDS)
@@ -512,7 +491,7 @@ def test_real_pair_shapes_score_finitely_or_raise_typed_errors(method, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (5, 6, 10, 11, 30, 60):
-            for shape, ds in _real_pair_shapes(seed, n).items():
+            for shape, ds in real_pair_shapes(seed, n).items():
                 try:
                     decision = infer_direction(ds, method)
                 except TRIAL_ERRORS:
