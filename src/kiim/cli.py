@@ -85,7 +85,7 @@ def _out_dir(args) -> Path:
 
 
 def _score_payload(score) -> dict:
-    return {k: v for k, v in dataclasses.asdict(score).items() if v is not None}
+    return {k: v for k, v in vars(score).items() if v is not None}
 
 
 def cmd_infer(args) -> int:

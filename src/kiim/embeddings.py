@@ -5,8 +5,9 @@ represented by its coefficient vector a_i against the effect samples, and
 all n vectors are computed at once as the columns of one coefficient
 matrix, so one factorization serves every right-hand side.
 
-* ``ridge_factorization`` factors (K_x + lambda I) once: KIIM solves it
-  against K_y, KCDC against K_x, and ANM for its kernel ridge fit.
+* ``ridge_factorization`` factors (K_x + lambda I) once, by LAPACK's
+  ``dpotrf`` or ``dgetrf`` called directly: KIIM solves it against K_y,
+  KCDC against K_x, and ANM for its kernel ridge fit.
 * ``reweighting_vector`` and ``reweighted_cond_matrix`` give the
   importance-reweighted coefficients behind Rw-KIIM.
 """
@@ -14,10 +15,9 @@ matrix, so one factorization serves every right-hand side.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .kernels import center
@@ -28,11 +28,12 @@ class _Factorization:
 
     ``matrix`` is a private F-order array: the shift goes onto its diagonal
     and the LU overwrites it, so the factor costs no n x n array beyond it.
-    Tries Cholesky first, on a transient copy; the default composite kernel
-    is indefinite, so a partial-pivot LU fallback is routine rather than
-    exceptional. Either factor is judged by LAPACK's estimate of its
-    reciprocal 1-norm condition number (``pocon`` or ``gecon``), and a
-    numerical error carrying 1 / rcond is raised when rcond <= n eps.
+    Tries Cholesky (``dpotrf``) first, on a transient copy; the default
+    composite kernel is indefinite, so a partial-pivot LU (``dgetrf``)
+    fallback is routine rather than exceptional. Either factor is judged by
+    LAPACK's estimate of its reciprocal 1-norm condition number (``dpocon``
+    or ``dgecon``; 0 for an exactly singular LU), and a numerical error
+    carrying 1 / rcond is raised when rcond <= n eps.
     """
 
     def __init__(self, matrix: np.ndarray, shift: float):
@@ -40,19 +41,15 @@ class _Factorization:
             raise ValueError("ridge shift must be positive and finite")
         self._n = matrix.shape[0]
         matrix[np.diag_indices(self._n)] += shift
-        anorm = scipy.linalg.norm(matrix, 1, check_finite=False)  # LAPACK lange: no copy
-        try:
-            self._fac = scipy.linalg.cho_factor(matrix, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._fac = scipy.linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
-            self._kind = "lu"
-            rcond, _ = scipy.linalg.lapack.dgecon(self._fac[0], anorm)
+        anorm = lapack.dlange("1", matrix)
+        c, info = lapack.dpotrf(matrix, lower=False, clean=False)
+        if info == 0:
+            self._kind, self._fac = "cholesky", (c, False)
+            rcond, _ = lapack.dpocon(c, anorm, uplo="U")
         else:
-            self._kind = "cholesky"
-            c, lower = self._fac
-            rcond, _ = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if lower else "U")
+            lu, piv, info = lapack.dgetrf(matrix, overwrite_a=True)
+            self._kind, self._fac = "lu", (lu, piv)
+            rcond = 0.0 if info > 0 else lapack.dgecon(lu, anorm)[0]
         if not rcond > np.finfo(float).eps * self._n:  # NaN fails too
             raise NumericalError("matrix is numerically singular despite ridge",
                                  condition_estimate=math.inf if rcond == 0 else 1.0 / rcond)
@@ -61,9 +58,10 @@ class _Factorization:
         """Solve against ``rhs``; with ``overwrite`` a private F-order rhs
         becomes the result, with no copy."""
         if self._kind == "cholesky":
-            return scipy.linalg.cho_solve(self._fac, rhs, overwrite_b=overwrite,
-                                          check_finite=False)
-        return scipy.linalg.lu_solve(self._fac, rhs, overwrite_b=overwrite, check_finite=False)
+            x, _ = lapack.dpotrs(self._fac[0], rhs, lower=False, overwrite_b=overwrite)
+        else:
+            x, _ = lapack.dgetrs(*self._fac, rhs, overwrite_b=overwrite)
+        return x
 
 
 def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:

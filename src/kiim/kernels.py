@@ -137,10 +137,16 @@ def median_heuristic(samples) -> float:
     # that for even n the last row holds diagonal n/2 twice; the first
     # n(n - 1)/2 entries stop before the repeat. Negation is exact, so these
     # are bit for bit the |x_i - x_j|, with no n x n mask or difference matrix.
-    wrapped = np.lib.stride_tricks.sliding_window_view(np.concatenate((xs, xs)), n)
-    dists = np.subtract(wrapped[1:n // 2 + 1], xs)
+    doubled = np.concatenate((xs, xs))
+    step = doubled.itemsize
+    wrapped = np.ndarray((n // 2, n), buffer=doubled, offset=step, strides=(step, step))
+    dists = np.subtract(wrapped, xs)
     np.abs(dists, out=dists)
-    med = float(np.median(dists.ravel()[:n * (n - 1) // 2], overwrite_input=True))
+    # np.median's arithmetic: the mean of the one or two middle order statistics.
+    m = n * (n - 1) // 2
+    part = dists.ravel()[:m]
+    part.partition(((m - 1) // 2, m // 2))
+    med = float(np.mean(part[(m - 1) // 2:m // 2 + 1]))
     return med if med > 0.0 else 1.0
 
 
@@ -160,12 +166,17 @@ def _evaluate(spec: KernelSpec, a, b, d2):
     """Evaluate the (resolved) kernel on broadcastable point arrays a, b whose
     squared differences (a - b)**2 are ``d2``."""
     fam = spec.family
-    if fam is KernelFamily.RBF:
-        return np.exp(-d2 / spec.bandwidth**2)
-    if fam is KernelFamily.LOG:
-        return -np.log1p(d2)
-    if fam is KernelFamily.RATIONAL_QUADRATIC:
-        return 1.0 - d2 / (d2 + 1.0)
+    if fam is KernelFamily.RBF:  # exp(-d2 / sigma^2)
+        out = np.negative(d2)
+        np.divide(out, spec.bandwidth**2, out=out)
+        return np.exp(out, out=out)
+    if fam is KernelFamily.LOG:  # -log1p(d2)
+        out = np.log1p(d2)
+        return np.negative(out, out=out)
+    if fam is KernelFamily.RATIONAL_QUADRATIC:  # 1 - d2 / (d2 + 1)
+        out = np.add(d2, 1.0)
+        np.divide(d2, out, out=out)
+        return np.subtract(1.0, out, out=out)
     if fam is KernelFamily.POLYNOMIAL:
         return (a * b + 1.0) ** spec.degree
     # A composite, folded left to right into the first part's fresh array, in place.

@@ -79,6 +79,14 @@ def read_pair_file(path) -> np.ndarray:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read pair file: {exc}", path=str(path)) from exc
+    # One conversion of a rectangular table: numpy calls float() on each token.
+    # A ragged or non-numeric table falls through to the loop, which names the line.
+    tokens = [parts for parts in map(str.split, text.splitlines()) if parts]
+    if tokens and all(len(parts) == len(tokens[0]) for parts in tokens):
+        try:
+            return np.array(tokens, dtype=float)
+        except ValueError:
+            pass
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:

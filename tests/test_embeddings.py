@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ def test_singular_cholesky_factor_reports_condition():
     with pytest.raises(NumericalError) as info:
         ridge_factorization(np.diag([1.0, 1e-20]), 1e-30)
     assert info.value.condition_estimate > 1e19
+
+
+def test_exactly_singular_lu_raises_without_a_warning():
+    # diag(-1, 1) + I = diag(0, 2): Cholesky fails, and the LU's first pivot
+    # is exactly zero (getrf info = 1), which is rcond 0 and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            ridge_factorization(np.diag([-1.0, 1.0]), 1.0)
+    assert info.value.condition_estimate == math.inf
 
 
 def test_reweighting_on_uniform_grid_is_mild():

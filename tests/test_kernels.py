@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_median_heuristic_matches_triu_oracle():
         assert median_heuristic(xs) == (m if m > 0.0 else 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 100, 999, 1000])
+def test_median_heuristic_is_the_triu_median_bit_for_bit(n):
+    # n(n - 1)/2 pairs: 1, 3, 6, 15, 21, 4950, 498501, 499500, odd and even
+    # counts alike, so both the one- and the two-middle branch are held.
+    xs = np.random.default_rng(n).standard_normal(n)
+    for sample in (xs, np.round(xs, 1)):  # the second one tie-heavy
+        m = oracles.triu_median(sample)
+        assert median_heuristic(sample) == (m if m > 0.0 else 1.0)
+    assert median_heuristic(np.full(n, 0.5)) == 1.0
+
+
 def test_resolve_replaces_median_marker():
     spec = resolve(default_composite(), [0.0, 1.0, 3.0])
     assert all(part.bandwidth != MEDIAN for part in spec.parts)
@@ -162,6 +174,40 @@ def test_composite_gram_matches_reduce_oracle_bitwise(mode):
         expected = oracles.reduce_composite_gram(xs, mode)
         actual = gram(default_composite(mode), xs)
         np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _dense_gram(spec, xs):
+    """The Gram of a plain kernel, or of a composite of plain kernels, as one
+    n x n numpy expression per part."""
+    a, b = xs[:, None], xs[None, :]
+    d2 = (a - b) ** 2
+    fam = spec.family
+    if fam is KernelFamily.RBF:
+        width = spec.bandwidth
+        if width == MEDIAN:
+            width = oracles.triu_median(xs)
+            width = width if width > 0.0 else 1.0
+        return np.exp(-d2 / width**2)
+    if fam is KernelFamily.LOG:
+        return -np.log1p(d2)
+    if fam is KernelFamily.RATIONAL_QUADRATIC:
+        return 1.0 - d2 / (d2 + 1.0)
+    if fam is KernelFamily.POLYNOMIAL:
+        return (a * b + 1.0) ** spec.degree
+    combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
+    return functools.reduce(combine, (_dense_gram(part, xs) for part in spec.parts))
+
+
+@pytest.mark.parametrize("spec", [rbf(0.7), rbf(), log_kernel(), rational_quadratic(),
+                                  polynomial(3), default_composite(),
+                                  default_composite("sum")],
+                         ids=["rbf-fixed", "rbf-median", "log", "rq", "poly", "product", "sum"])
+@pytest.mark.parametrize("n", [100, 1500])
+def test_gram_of_every_family_is_the_dense_expression_bit_for_bit(spec, n):
+    # At n = 1500 the rows are evaluated in blocks of 87, the last one short.
+    xs = np.random.default_rng(n).standard_normal(n)
+    expected = _dense_gram(spec, xs)
+    np.testing.assert_array_equal(gram(spec, xs).view(np.uint64), expected.view(np.uint64))
 
 
 def test_default_gram_peak_memory_at_n_1000(traced_peak):

@@ -93,6 +93,37 @@ def test_read_pair_file_ragged_row(tmp_path):
     assert info.value.line == 2
 
 
+def test_read_pair_file_converts_each_token_as_float_does(tmp_path):
+    tokens = ["1_000", "+1.5", "-0", "1e-320", "4.9e-324", "1e400", "nan", "2.5"]
+    path = tmp_path / "pair.txt"
+    # Tab separators, CRLF line ends and trailing blank lines, four rows of two.
+    path.write_bytes(b"".join(f"{x}\t {y}\r\n".encode() for x, y in zip(tokens[::2], tokens[1::2]))
+                     + b"\r\n\n \t\n")
+    table = read_pair_file(path)
+    expected = np.array([float(tok) for tok in tokens]).reshape(4, 2)
+    np.testing.assert_array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+def test_read_pair_file_ragged_row_with_a_rectangular_token_count(tmp_path):
+    # 4 tokens would fill a 2 x 2 table; the row widths are 3 and 1.
+    path = tmp_path / "pair.txt"
+    path.write_text("1 2 3\n4\n")
+    with pytest.raises(IngestionError, match="ragged row") as info:
+        read_pair_file(path)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("bad_line", [1, 3, 5])
+def test_read_pair_file_names_the_line_of_a_non_numeric_cell(tmp_path, bad_line):
+    lines = [f"{k} {k + 0.5}" for k in range(5)]
+    lines[bad_line - 1] = "7 x7"
+    path = tmp_path / "pair.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError, match="non-numeric cell") as info:
+        read_pair_file(path)
+    assert info.value.line == bad_line
+
+
 def test_read_pair_file_empty(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("\n\n")

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -569,6 +570,21 @@ def test_infer_all_methods_run():
         decision = infer_direction(ds, method)
         assert decision.direction in (Direction.X_TO_Y, Direction.Y_TO_X,
                                       Direction.UNDECIDED)
+
+
+def test_a_decision_calls_no_scipy_factor_wrapper_and_no_np_median(monkeypatch):
+    # The ridge factor and its solves call LAPACK directly, and the median
+    # heuristic partitions; a wrapper brought back would raise here.
+    ds = generate(MechanismSpec(mechanism=Mechanism.MNM1, noise=Noise.UNIFORM, n=100, seed=0))
+    expected = [infer_direction(ds, method) for method in Method]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a wrapper was called on the decision path")
+
+    for name in ("cho_factor", "lu_factor", "cho_solve", "lu_solve", "norm"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    monkeypatch.setattr(np, "median", forbidden)
+    assert [infer_direction(ds, method) for method in Method] == expected
 
 
 def test_tie_tolerance_is_configurable():
