@@ -64,23 +64,23 @@ def _config_from_args(args) -> RunConfig:
     return build_config(settings)
 
 
-def _summary(command: str, config: RunConfig, seed: int, elapsed: float, fields: dict) -> dict:
-    """JSON summary of one run command: the shared envelope plus ``fields``."""
-    digest = config_digest(config)
-    return {
-        "command": command,
-        "run_id": f"{command}-{digest[:12]}-seed{seed}",
-        "config": config_items(config),
-        "config_digest": digest,
-        "seed": seed,
-        "timings": {"total_seconds": elapsed},
-        **fields,
-    }
-
-
-def _out_dir(args) -> Path:
+def _write_reports(args, command: str, config: RunConfig, elapsed: float, csv_name: str,
+                   records: list[dict], json_name: str, fields: dict) -> Path:
+    """Write ``records`` as ``csv_name`` and the run summary (the shared envelope
+    plus ``fields``) as ``json_name`` into ``--out-dir``; return that directory."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / csv_name, records)
+    digest = config_digest(config)
+    write_json_summary(out / json_name, {
+        "command": command,
+        "run_id": f"{command}-{digest[:12]}-seed{args.seed}",
+        "config": config_items(config),
+        "config_digest": digest,
+        "seed": args.seed,
+        "timings": {"total_seconds": elapsed},
+        **fields,
+    })
     return out
 
 
@@ -112,15 +112,11 @@ def cmd_synthetic(args) -> int:
     results = run_synthetic(cells, methods, trials=args.trials, n=args.n,
                             seed=args.seed, config=config, jobs=args.jobs)
     elapsed = time.monotonic() - started
-    out = _out_dir(args)
     records = [{**dataclasses.asdict(r), "accuracy": r.accuracy,
                 "accuracy_std": r.accuracy_std} for r in results]
-    write_csv(out / "synthetic.csv", records)
-    write_json_summary(out / "synthetic.json", _summary("synthetic", config, args.seed, elapsed, {
-        "trials": args.trials,
-        "n": args.n,
-        "results": records,
-    }))
+    out = _write_reports(args, "synthetic", config, elapsed, "synthetic.csv", records,
+                         "synthetic.json", {"trials": args.trials, "n": args.n,
+                                            "results": records})
     for r in results:
         print(f"{r.mechanism.value:5s} {r.noise.value:15s} {r.method.value:11s} "
               f"accuracy {r.accuracy:6.1%} +- {r.accuracy_std:.1%}")
@@ -136,12 +132,11 @@ def cmd_tcep(args) -> int:
     report = evaluate_tcep(pairs, methods, config=config, seed=args.seed,
                            subsample_limit=args.subsample_limit, jobs=args.jobs)
     elapsed = time.monotonic() - started
-    out = _out_dir(args)
-    write_csv(out / "tcep_pairs.csv", [
-        {"pair_id": r.pair_id, "method": r.method, "score_xy": r.score_xy,
-         "score_yx": r.score_yx, "decision": "error" if r.error else r.direction,
-         "correct": r.correct} for r in report.results])
-    write_json_summary(out / "tcep_summary.json", _summary("tcep", config, args.seed, elapsed, {
+    records = [{"pair_id": r.pair_id, "method": r.method, "score_xy": r.score_xy,
+                "score_yx": r.score_yx, "decision": "error" if r.error else r.direction,
+                "correct": r.correct} for r in report.results]
+    out = _write_reports(args, "tcep", config, elapsed, "tcep_pairs.csv", records,
+                         "tcep_summary.json", {
         "subsample_limit": args.subsample_limit,
         "loaded": report.loaded,
         "excluded": report.excluded,
@@ -149,7 +144,7 @@ def cmd_tcep(args) -> int:
         "exclusions": [{"pair_id": p.id, "reason": p.exclusion_reason}
                        for p in pairs if p.excluded],
         "accuracies": [dataclasses.asdict(a) for a in report.accuracies],
-    }))
+    })
     write_bar_chart(out / "tcep_accuracy.svg", "Benchmark accuracy by method",
                     [a.method.value for a in report.accuracies],
                     [a.accuracy for a in report.accuracies], "accuracy")
@@ -170,15 +165,10 @@ def cmd_ablation(args) -> int:
     results = run_ablation(cells, d_max=args.d_max, trials=args.trials, n=args.n,
                            seed=args.seed, config=config, jobs=args.jobs)
     elapsed = time.monotonic() - started
-    out = _out_dir(args)
     records = [{**dataclasses.asdict(r), "accuracy": r.accuracy} for r in results]
-    write_csv(out / "ablation.csv", records)
-    write_json_summary(out / "ablation.json", _summary("ablation", config, args.seed, elapsed, {
-        "trials": args.trials,
-        "n": args.n,
-        "d_max": args.d_max,
-        "results": records,
-    }))
+    out = _write_reports(args, "ablation", config, elapsed, "ablation.csv", records,
+                         "ablation.json", {"trials": args.trials, "n": args.n,
+                                           "d_max": args.d_max, "results": records})
     series: dict[str, list[float]] = {}
     for r in results:
         series.setdefault(f"{r.mechanism.value}/{r.noise.value}", []).append(r.accuracy)

@@ -117,7 +117,8 @@ def kernel_to_text(spec: KernelSpec) -> str:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Read `key = value` lines; blank lines and # comments are skipped."""
+    """Read `key = value` lines; blank lines and # comments are skipped, and
+    a repeated key is an error."""
     mapping: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -131,15 +132,11 @@ def read_config_file(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigurationError(f"{path}:{number}: expected key = value")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in mapping:
+            raise ConfigurationError(f"{path}:{number}: repeated key {key!r}")
+        mapping[key] = value.strip()
     return mapping
-
-
-def _convert_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
 
 
 #: Config-file key -> (RunConfig field it sets, reader of its text, writer of its text).
@@ -167,7 +164,10 @@ def build_config(settings: dict[str, str]) -> RunConfig:
         if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
         name, read, _ = _KEYS[key]
-        fields[name] = _convert_float(key, value) if read is float else read(value)
+        try:
+            fields[name] = read(value)
+        except ValueError as exc:  # parse_kernel raises ConfigurationError itself
+            raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
     return RunConfig(**fields)
 
 

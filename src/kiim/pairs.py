@@ -1,7 +1,8 @@
 """Paired scalar observations: the unit of pairwise causal inference.
 
 Also holds the whitespace-separated text format of pair files: the files
-that ``infer`` reads and the cause-effect benchmark's pair files.
+that ``infer`` reads and the cause-effect benchmark's pair files. Its line
+reader also reads the benchmark's ``pairmeta.txt``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ def standardize(values) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; a file that cannot be read or decoded
+    is an ingestion error naming ``what`` and the file."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {what}: {exc}", path=str(path)) from exc
+
+
 def read_pair_file(path) -> np.ndarray:
     """Parse a whitespace-separated numeric table into an (n, m) array.
 
@@ -73,36 +83,25 @@ def read_pair_file(path) -> np.ndarray:
     ingestion error naming the file and 1-based line number.
     """
     path = Path(path)
-    rows: list[list[float]] = []
-    width = None
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read pair file: {exc}", path=str(path)) from exc
-    # One conversion of a rectangular table: numpy calls float() on each token.
-    # A ragged or non-numeric table falls through to the loop, which names the line.
-    tokens = [parts for parts in map(str.split, text.splitlines()) if parts]
-    if tokens and all(len(parts) == len(tokens[0]) for parts in tokens):
-        try:
-            return np.array(tokens, dtype=float)
-        except ValueError:
-            pass
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            row = [float(tok) for tok in parts]
-        except ValueError as exc:
-            raise IngestionError("non-numeric cell", path=str(path), line=lineno) from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise IngestionError("ragged row", path=str(path), line=lineno)
-        rows.append(row)
+    lines = _read_lines(path, "pair file")
+    rows = [parts for parts in map(str.split, lines) if parts]
     if not rows:
         raise IngestionError("empty pair file", path=str(path))
-    return np.asarray(rows, dtype=float)
+    try:
+        # numpy calls float() on each token and rejects a ragged table.
+        return np.array(rows, dtype=float)
+    except ValueError:
+        # Name the first line that float() or the first row's width rejects.
+        for lineno, parts in enumerate(map(str.split, lines), start=1):
+            if not parts:
+                continue
+            try:
+                list(map(float, parts))
+            except ValueError as exc:
+                raise IngestionError("non-numeric cell", path=str(path), line=lineno) from exc
+            if len(parts) != len(rows[0]):
+                raise IngestionError("ragged row", path=str(path), line=lineno)
+        raise
 
 
 def load_pair_dataset(path) -> PairedDataset:

@@ -23,7 +23,7 @@ import numpy as np
 from .bench import _check_run, run_trials
 from .config import RunConfig
 from .errors import IngestionError
-from .pairs import Direction, PairedDataset, read_pair_file
+from .pairs import Direction, PairedDataset, _read_lines, read_pair_file
 from .scoring import Method, infer_direction
 
 MULTIVARIATE_IDS = frozenset({52, 53, 54, 55, 71, 105})
@@ -77,12 +77,8 @@ class TcepReport:
 
 
 def _parse_meta(path: Path) -> dict[int, tuple[int, int, int, int, float]]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read metadata: {exc}", path=str(path)) from exc
     meta: dict[int, tuple[int, int, int, int, float]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path, "metadata"), start=1):
         tokens = line.split()
         if not tokens:
             continue

@@ -245,6 +245,32 @@ def test_tcep_command_full_run(tcep_dir, tmp_path, capsys):
     ElementTree.parse(out / "tcep_accuracy.svg")
 
 
+def test_run_summaries_share_one_envelope(tmp_path):
+    pairs = tmp_path / "pairs"
+    pairs.mkdir()
+    write_pair_text(pairs / "pair0001.txt",
+                    generate(MechanismSpec(Mechanism.ANM1, Noise.GAUSSIAN, n=40, seed=0)))
+    (pairs / "pairmeta.txt").write_text("0001 1 1 2 2 1\n")
+    runs = [
+        (["synthetic", "--cells", "ANM1:Gaussian", "--trials", "2", "--n", "30"],
+         "synthetic.json"),
+        (["ablation", "--cells", "ANM1:Gaussian", "--d-max", "1", "--trials", "2", "--n", "30"],
+         "ablation.json"),
+        (["tcep", str(pairs), "--methods", "igci-uniform"], "tcep_summary.json"),
+    ]
+    envelope = {"schema", "command", "run_id", "config", "config_digest", "seed", "timings"}
+    digest = config_digest(build_config({"lambda": "0.01"}))
+    for argv, summary in runs:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--lambda", "0.01", "--seed", "4", "--out-dir", str(out)]) == 0
+        body = json.loads((out / summary).read_text())
+        assert envelope <= set(body)
+        assert (body["command"], body["seed"], body["config_digest"]) == (argv[0], 4, digest)
+        assert body["run_id"] == f"{argv[0]}-{digest[:12]}-seed4"
+        assert body["config"]["lambda"] == "0.01"
+        assert set(body["timings"]) == {"total_seconds"}
+
+
 def test_ablation_rejects_d_max_not_below_n(tmp_path, capsys):
     # every trial would fail: a spectrum of n eigenvalues allows d <= n - 1
     assert main(["ablation", "--n", "100", "--d-max", "100", "--trials", "2",

@@ -81,6 +81,13 @@ def test_read_config_file_reports_bad_line(tmp_path):
         read_config_file(path)
 
 
+def test_read_config_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lambda = 1\n# lambda = 3\nkernel.x = rbf\n lambda=2\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=r"run\.cfg:4: repeated key 'lambda'$"):
+        read_config_file(path)
+
+
 def test_read_config_file_missing(tmp_path):
     with pytest.raises(ConfigurationError):
         read_config_file(tmp_path / "absent.cfg")

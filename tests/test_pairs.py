@@ -124,6 +124,20 @@ def test_read_pair_file_names_the_line_of_a_non_numeric_cell(tmp_path, bad_line)
     assert info.value.line == bad_line
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 2\n3\nx 4\n", "ragged row"),
+    ("1 2\nx 4\n5\n", "non-numeric cell"),
+    # Both non-numeric and ragged: the cell is named first.
+    ("1 2\n3 x 4\n", "non-numeric cell"),
+], ids=["ragged-before-non-numeric", "non-numeric-before-ragged", "both-on-one-line"])
+def test_read_pair_file_names_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "pair.txt"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=message) as info:
+        read_pair_file(path)
+    assert info.value.line == 2
+
+
 def test_read_pair_file_empty(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("\n\n")
@@ -132,7 +146,7 @@ def test_read_pair_file_empty(tmp_path):
 
 
 def test_read_pair_file_missing():
-    with pytest.raises(IngestionError):
+    with pytest.raises(IngestionError, match="cannot read pair file"):
         read_pair_file("/nonexistent/pair0001.txt")
 
 
@@ -154,5 +168,5 @@ def test_load_pair_dataset_needs_two_columns(tmp_path):
 def test_read_pair_file_undecodable_bytes_name_the_file(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_bytes(b"1 2\n\xff 4\n")
-    with pytest.raises(IngestionError, match=r"utf-8.*pair\.txt"):
+    with pytest.raises(IngestionError, match=r"cannot read pair file: 'utf-8'.*pair\.txt"):
         read_pair_file(path)

@@ -74,6 +74,14 @@ def test_short_metadata_row_reports_line(tmp_path):
         load_tcep(tmp_path)
 
 
+def test_blank_metadata_lines_count_toward_line_numbers(tmp_path):
+    write_pair_text(tmp_path / "pair0001.txt", _anm1(0))
+    (tmp_path / "pairmeta.txt").write_text("\n\n0001 1 1 2 2 x\n")
+    with pytest.raises(IngestionError, match="non-numeric metadata field") as info:
+        load_tcep(tmp_path)
+    assert info.value.line == 3
+
+
 @pytest.mark.parametrize("row", [
     "0001 1 1 2 two 1.0\n",
     "0001 1 1 2 2 0\n",
@@ -233,5 +241,5 @@ def test_evaluate_requires_methods_and_usable_pairs(tmp_path):
 def test_undecodable_metadata_names_the_file(tmp_path):
     write_pair_text(tmp_path / "pair0001.txt", _anm1(0))
     (tmp_path / "pairmeta.txt").write_bytes(b"0001 1 1 2 2 1.0\n\xff\n")
-    with pytest.raises(IngestionError, match=r"utf-8.*pairmeta\.txt"):
+    with pytest.raises(IngestionError, match=r"cannot read metadata: 'utf-8'.*pairmeta\.txt"):
         load_tcep(tmp_path)
