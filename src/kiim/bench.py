@@ -2,9 +2,12 @@
 
 Each (mechanism, noise) cell runs ``trials`` independent datasets; trial
 t uses seed ``base_seed XOR t`` so cells share draws and reruns are
-reproducible. A trial is correct when the inferred direction is XtoY, the
-generator's causal direction; Undecided and in-trial failures count as
-incorrect (failures are also logged and tallied).
+reproducible. One pool task generates a trial's dataset once and scores it
+with every requested method (``_score_dataset``). A method's trial is
+correct when the inferred direction is XtoY, the generator's causal
+direction; Undecided and failures count as incorrect (failures are also
+logged and tallied), and a failure of the whole trial counts against every
+method.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .scoring import Method, check_sample_size, infer_direction, rank_ablation
 from .synthdata import Mechanism, MechanismSpec, Noise, generate, table1_grid
 
 log = logging.getLogger(__name__)
+
+#: The methods that score from ``scoring._invariance_factor``'s Gram cache.
+_GRAM_METHODS = (Method.KIIM, Method.RW_KIIM)
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,12 @@ def parse_cells(text: str) -> tuple[tuple[Mechanism, Noise], ...]:
     return tuple(cells)
 
 
-def _synthetic_trial(mechanism, noise, n, seed, method, config) -> bool:
+def _synthetic_trial(mechanism, noise, n, seed, methods, config) -> tuple:
+    """Per method, ``(hit, None)`` with hit True for a correct decision, or
+    ``(None, message)``."""
     spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
-    return infer_direction(generate(spec), method, config).direction is Direction.X_TO_Y
+    return tuple((None if d is None else d.direction is Direction.X_TO_Y, error)
+                 for d, error in _score_dataset(generate(spec), methods, config))
 
 
 def _ablation_trial(mechanism, noise, n, seed, d_max, config) -> tuple[bool, ...]:
@@ -99,11 +108,29 @@ def _run_trial(task) -> tuple:
         return None, str(exc) or repr(exc)
 
 
+def _score_dataset(dataset, methods, config) -> tuple:
+    """``_run_trial((infer_direction, dataset, method, config, grams))`` for each
+    method, in the given order. KIIM and Rw-KIIM run first, back to back on one
+    Gram cache, which each holds whole for its decision anyway; it is emptied
+    before any other method runs, so no method's peak memory goes up."""
+    grams, outcomes = {}, {}
+    for method in sorted(methods, key=lambda m: m not in _GRAM_METHODS):
+        if method not in _GRAM_METHODS:
+            grams.clear()
+        outcomes[method] = _run_trial((infer_direction, dataset, method, config, grams))
+    return tuple(outcomes[method] for method in methods)
+
+
 def run_trials(tasks, jobs: int) -> list[tuple]:
     """``_run_trial(task[1:])`` for each task ``(label, fn, *args)``, in order, on
     one pool of ``min(jobs, len(tasks))`` processes if that is above 1 (so ``fn``
     must be picklable); then one warning per failure, ``trial failed: <label>:
     <message>``.
+
+    A task whose label is a tuple scores one dataset several ways: its ``fn``
+    returns one ``_run_trial`` outcome per label, as ``_score_dataset`` does,
+    and that tuple is the task's entry. When the whole task fails, every label
+    fails with its message.
 
     The pool is forked on one BLAS thread, so forked workers inherit one
     thread, score on it and never start OpenBLAS helpers (see ``blas``).
@@ -115,10 +142,19 @@ def run_trials(tasks, jobs: int) -> list[tuple]:
             outcomes = list(pool.map(_run_trial, calls, chunksize=4))
     else:
         outcomes = [_run_trial(call) for call in calls]
-    for (label, *_), (_, error) in zip(tasks, outcomes):
-        if error is not None:
-            log.warning("trial failed: %s: %s", label, error)
-    return outcomes
+    entries = []
+    for (label, *_), (value, error) in zip(tasks, outcomes):
+        if isinstance(label, tuple):
+            entry = value if error is None else ((None, error),) * len(label)
+            labelled = zip(label, entry)
+        else:
+            entry = (value, error)
+            labelled = [(label, entry)]
+        entries.append(entry)
+        for name, (_, message) in labelled:
+            if message is not None:
+                log.warning("trial failed: %s: %s", name, message)
+    return entries
 
 
 def _check_run(cells, methods, seed: int, n: int | None, trials: int = 1) -> tuple:
@@ -148,19 +184,22 @@ def _check_run(cells, methods, seed: int, n: int | None, trials: int = 1) -> tup
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
                   config: RunConfig | None = None, jobs: int = 1) -> tuple[CellResult, ...]:
     """Accuracy per (cell, method) over seeded independent trials; repeats are
-    scored once, in first-seen order."""
+    scored once, in first-seen order. One task per (cell, trial) scores every
+    method."""
     config = config or RunConfig()
     cells, methods = _check_run(cells, methods, seed, n, trials)
-    runs = [(mechanism, noise, method) for mechanism, noise in cells for method in methods]
-    tasks = [(f"{mechanism.value}/{noise.value} seed {seed ^ t} {method.value}",
-              _synthetic_trial, mechanism, noise, n, seed ^ t, method, config)
-             for mechanism, noise, method in runs for t in range(trials)]
+    tasks = [(tuple(f"{mechanism.value}/{noise.value} seed {seed ^ t} {method.value}"
+                    for method in methods),
+              _synthetic_trial, mechanism, noise, n, seed ^ t, methods, config)
+             for mechanism, noise in cells for t in range(trials)]
     outcomes = run_trials(tasks, jobs)
     results = []
-    for k, (mechanism, noise, method) in enumerate(runs):
-        hits = [hit for hit, _ in outcomes[k * trials:(k + 1) * trials]]
-        results.append(CellResult(mechanism=mechanism, noise=noise, method=method, trials=trials,
-                                  correct=hits.count(True), errors=hits.count(None)))
+    for k, (mechanism, noise) in enumerate(cells):
+        for j, method in enumerate(methods):
+            hits = [trial[j][0] for trial in outcomes[k * trials:(k + 1) * trials]]
+            results.append(CellResult(mechanism=mechanism, noise=noise, method=method,
+                                      trials=trials, correct=hits.count(True),
+                                      errors=hits.count(None)))
     return tuple(results)
 
 

@@ -180,7 +180,8 @@ def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore
     Three power steps on B^T B from the largest row of B give a Rayleigh
     quotient rho <= sigma_1^2. If rho exceeds 1 - energy_threshold of the
     total ||B||_F^2 (with a 1e-6 relative margin for roundoff), the rule
-    discards nothing and the score is ||B||_F^2 / n; else the spectrum decides.
+    discards nothing and the score is ||B||_F^2 / n; else, or when a step's
+    norm is 0 or not finite, the spectrum decides.
     """
     # np.vdot sums over the C-order ravel, which it would copy once per
     # operand for an F-order B; one ravel keeps that order with one copy.
@@ -191,10 +192,14 @@ def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore
         v = B[np.argmax(np.einsum("ij,ij->i", B, B))]
         for _ in range(3):
             v = B.T @ (B @ v)
-            v = v / np.linalg.norm(v)
-        if float(np.linalg.norm(B @ v)) ** 2 > (1.0 - energy_threshold) * total * (1.0 + 1e-6):
-            return DirectionScore(score=total / B.shape[0], retained_count=B.shape[0],
-                                  retained_energy_ratio=1.0, discarded_top=0)
+            norm = float(np.linalg.norm(v))
+            if not 0.0 < norm < np.inf:  # the step under- or overflowed: no bound
+                break
+            v = v / norm
+        else:
+            if float(np.linalg.norm(B @ v)) ** 2 > (1.0 - energy_threshold) * total * (1.0 + 1e-6):
+                return DirectionScore(score=total / B.shape[0], retained_count=B.shape[0],
+                                      retained_energy_ratio=1.0, discarded_top=0)
     return energy_rank_score(sym_eig(B.T @ B), energy_threshold)
 
 
@@ -250,20 +255,25 @@ def direction_score(dataset: PairedDataset, direction, method, config: RunConfig
 
 
 def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction:
+    """A tie when the gap is at most ``tie_tolerance`` times the larger score,
+    or times 1 when both scores are below 1: an absolute floor there."""
     if abs(score_xy - score_yx) <= tie_tolerance * max(score_xy, score_yx, 1.0):
         return Direction.UNDECIDED
     return Direction.X_TO_Y if score_xy < score_yx else Direction.Y_TO_X
 
 
-def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = None) -> CausalDecision:
+def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = None,
+                    grams: dict | None = None) -> CausalDecision:
     """Score both directions with identical settings and compare.
 
-    Smaller score wins; ties within the relative tolerance are Undecided.
-    Both directions run on one BLAS thread (``blas.one_thread``) and share Grams.
+    Smaller score wins; ties within the tolerance are Undecided (see ``_decide``).
+    Both directions run on one BLAS thread (``blas.one_thread``) and share Grams;
+    ``grams``, the cache of ``_invariance_factor``, also shares them with later
+    calls on the same dataset and config.
     """
     config = config or RunConfig()
     method = Method(method)
-    grams = {}
+    grams = {} if grams is None else grams
     with one_thread():
         score_xy = direction_score(dataset, Direction.X_TO_Y, method, config, grams)
         score_yx = direction_score(dataset, Direction.Y_TO_X, method, config, grams)

@@ -15,16 +15,16 @@ xs is the annotated cause, making XtoY the correct answer everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
 
-from .bench import _check_run, run_trials
+from .bench import _check_run, _score_dataset, run_trials
 from .config import RunConfig
 from .errors import IngestionError
 from .pairs import Direction, PairedDataset, _read_lines, read_pair_file
-from .scoring import Method, infer_direction
+from .scoring import Method
 
 MULTIVARIATE_IDS = frozenset({52, 53, 54, 55, 71, 105})
 MISSING_VALUE_IDS = frozenset({81, 82, 83})
@@ -138,7 +138,8 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     """Score every usable pair with every method and tally accuracies.
 
     Oversized pairs are subsampled to ``subsample_limit`` points with a
-    generator seeded by (seed, pair id), so reports are reproducible.
+    generator seeded by (seed, pair id), so reports are reproducible. One
+    task per pair scores every method (``bench._score_dataset``).
     Undecided or errored evaluations count as incorrect; the weighted
     accuracy uses the metadata weights. A repeated method is scored once,
     in first-seen order.
@@ -156,9 +157,9 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
         # A dataset within the limit (or any, with the limit 0) comes back as is.
         dataset = pair.dataset.subsampled(subsample_limit or pair.dataset.n,
                                           np.random.default_rng([seed, pair.id]))
-        tasks += [(f"pair {pair.id} {method.value}", infer_direction, dataset, method, config)
-                  for method in methods]
-    outcomes = run_trials(tasks, jobs)
+        tasks.append((tuple(f"pair {pair.id} {method.value}" for method in methods),
+                      _score_dataset, dataset, methods, config))
+    outcomes = chain.from_iterable(run_trials(tasks, jobs))
     results = []
     for (pair, method), (d, error) in zip(product(usable, methods), outcomes):
         if d is None:

@@ -9,7 +9,7 @@ import pytest
 
 import kiim.bench
 from kiim import Mechanism, Method, Noise, NumericalError, evaluate_tcep, load_tcep, \
-    run_ablation, run_synthetic
+    run_ablation, run_synthetic, table1_grid
 from kiim.bench import run_trials
 
 CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
@@ -118,10 +118,10 @@ def test_one_methods_failures_stay_in_its_own_rows_on_a_pool(monkeypatch, caplog
     clean = run_synthetic(CELLS, methods, trials=trials, n=30, seed=seed, jobs=1)
     infer = kiim.bench.infer_direction
 
-    def fail_rw_kiim(dataset, method, config):
+    def fail_rw_kiim(dataset, method, config, grams=None):
         if method is Method.RW_KIIM:
             raise NumericalError("singular ridge system")
-        return infer(dataset, method, config)
+        return infer(dataset, method, config, grams)
 
     monkeypatch.setattr(kiim.bench, "infer_direction", fail_rw_kiim)
     # Forked workers inherit the patched module; a fresh worker would not.
@@ -138,6 +138,60 @@ def test_one_methods_failures_stay_in_its_own_rows_on_a_pool(monkeypatch, caplog
     assert failed == [(logging.WARNING, f"trial failed: {cell} seed {seed ^ t} RwKIIM: "
                        "singular ridge system")
                       for cell in ("ANM1/Gaussian", "MNM2/Uniform") for t in range(trials)]
+
+
+def test_a_synthetic_task_scores_one_dataset_with_every_method(monkeypatch):
+    sizes = []
+    run_trials = kiim.bench.run_trials
+    monkeypatch.setattr(kiim.bench, "run_trials",
+                        lambda tasks, jobs: sizes.append(len(tasks)) or run_trials(tasks, jobs))
+    results = run_synthetic(table1_grid(), list(Method), trials=8, n=10)
+    assert len(results) == 10 * 6
+    assert sizes == [10 * 8]
+
+
+# KIIM and Rw-KIIM apart, and KIIM repeated: the repeat is scored once.
+_MIXED_ORDER = [Method.KCDC, Method.KIIM, Method.IGCI_GAUSS, Method.RW_KIIM, Method.KIIM]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_results_do_not_depend_on_method_order(tcep_dir, jobs):
+    methods = list(dict.fromkeys(_MIXED_ORDER))
+    alone = {m: run_synthetic(CELLS, [m], trials=3, n=30, seed=2) for m in methods}
+    assert run_synthetic(CELLS, _MIXED_ORDER, trials=3, n=30, seed=2, jobs=jobs) == tuple(
+        alone[m][k] for k in range(len(CELLS)) for m in methods)
+    pairs = [p for p in load_tcep(tcep_dir) if p.id <= 6]
+    alone = {m: evaluate_tcep(pairs, [m]) for m in methods}
+    report = evaluate_tcep(pairs, _MIXED_ORDER, jobs=jobs)
+    assert report.accuracies == tuple(alone[m].accuracies[0] for m in methods)
+    assert report.results == tuple(sorted((r for m in methods for r in alone[m].results),
+                                          key=lambda r: (r.pair_id, r.method.value)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_dataset_counts_against_every_method(monkeypatch, caplog, jobs):
+    methods, trials, seed = [Method.KIIM, Method.IGCI_GAUSS, Method.RW_KIIM], 3, 4
+    cell, bad = (Mechanism.ANM1, Noise.GAUSSIAN), seed ^ 1
+    clean = run_synthetic([cell], methods, trials=trials, n=30, seed=seed)
+    bad_hits = [r.correct for r in run_synthetic([cell], methods, trials=1, n=30, seed=bad)]
+    generate = kiim.bench.generate
+
+    def fail_one_seed(spec):
+        if spec.seed == bad:
+            raise NumericalError("generator failed")
+        return generate(spec)
+
+    monkeypatch.setattr(kiim.bench, "generate", fail_one_seed)
+    _spy_pools(monkeypatch, mp_context=multiprocessing.get_context("fork"))
+    with caplog.at_level(logging.WARNING, logger="kiim.bench"):
+        results = run_synthetic([cell], methods, trials=trials, n=30, seed=seed, jobs=jobs)
+    assert [r.method for r in results] == methods
+    assert [(r.errors, r.correct) for r in results] == [
+        (1, r.correct - hit) for r, hit in zip(clean, bad_hits)]
+    failed = [(r.levelno, r.getMessage()) for r in caplog.records
+              if "trial failed" in r.getMessage()]
+    assert failed == [(logging.WARNING, f"trial failed: ANM1/Gaussian seed {bad} {m.value}: "
+                       "generator failed") for m in methods]
 
 
 @pytest.mark.parametrize("cells, message", [

@@ -15,6 +15,7 @@ from kiim import (CausalDecision, Direction, Mechanism, MechanismSpec, Method, N
                   invariance_matrix, kiim_matrix, kiim_score,
                   median_heuristic, rank_ablation, rbf, standardize, sym_eig)
 from kiim import baselines, scoring
+from kiim.bench import _score_dataset
 from kiim.errors import TRIAL_ERRORS
 from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, direction_score, factor_score
 
@@ -111,6 +112,19 @@ def test_decision_holds_at_most_four_n_by_n_arrays(method, traced_peak):
     mechanism, noise = table1_grid()[0]
     ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=0))
     assert traced_peak(lambda: infer_direction(ds, method)) < 4 * n * n * 8 + 1e6
+
+
+def test_one_dataset_scored_by_every_method_holds_at_most_four_n_by_n_arrays(traced_peak):
+    """The runs score a dataset with all its methods in one call, KIIM and
+    Rw-KIIM on one pair of Grams; the pair is released before KCDC and ANM
+    run, so the one-decision bound above still holds."""
+    n = 1000
+    mechanism, noise = table1_grid()[0]
+    ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=0))
+    outcomes = []
+    peak = traced_peak(lambda: outcomes.extend(_score_dataset(ds, tuple(Method), RunConfig())))
+    assert peak < 4 * n * n * 8 + 1e6
+    assert [error for _, error in outcomes] == [None] * len(Method)
 
 
 # -------------------------------------------------------------------- sym_eig
@@ -309,6 +323,24 @@ def test_zero_factor_falls_back_and_scores_zero(monkeypatch):
         got = factor_score(np.zeros((6, 6)))
     assert len(eig_calls) == 1
     assert got.score == 0.0 and got.discarded_top == 0
+
+
+def test_power_steps_that_underflow_fall_back_without_a_warning():
+    """A cause that is zero but for one spike gives B entries so small that
+    the power steps underflow to a zero vector. The spectrum then decides,
+    with no 0/0 on the way; both scores lie below 1, so the tie floor makes
+    each decision Undecided."""
+    x = np.zeros(250)
+    x[7] = 1.0
+    ds = PairedDataset(x, x + np.random.default_rng(0).standard_normal(250))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kiim, rw_kiim = (infer_direction(ds, m) for m in (Method.KIIM, Method.RW_KIIM))
+    assert (kiim.score_xy.score, kiim.score_yx.score) == (4.6031610230577923e-32,
+                                                          1.0935506194316636e-222)
+    assert (rw_kiim.score_xy.score, rw_kiim.score_yx.score) == (3.870340946799775e-225,
+                                                                8.196543971105377e-223)
+    assert kiim.direction is rw_kiim.direction is Direction.UNDECIDED
 
 
 def test_factor_score_matches_energy_rule_on_random_factors():
@@ -591,6 +623,20 @@ def test_tie_tolerance_is_configurable():
     ds = _random_dataset(17, n=30)
     loose = dataclasses.replace(RunConfig(), tie_tolerance=1e6)
     decision = infer_direction(ds, Method.KIIM, loose)
+    assert decision.direction is Direction.UNDECIDED
+
+
+def test_tie_gap_is_absolute_below_score_one():
+    """Pins today's rule, an open question in docs/formats.md ("Tie floor"):
+    _decide scales tie_tolerance by max(a, b, 1.0), so below a score of 1 the
+    gap is absolute. Rw-KIIM's scores here differ ninefold, far beyond the
+    relative tolerance, yet both lie below 1e-12, so the decision is a tie.
+    A purely relative rule would read YtoX, which is wrong."""
+    ds = generate(MechanismSpec(mechanism=Mechanism.MNM2, noise=Noise.GAUSSIAN, n=100, seed=3))
+    decision = infer_direction(ds, Method.RW_KIIM)
+    a, b = decision.score_xy.score, decision.score_yx.score
+    assert a == pytest.approx(1.711e-14, rel=1e-3) and b == pytest.approx(1.916e-15, rel=1e-3)
+    assert abs(a - b) > RunConfig().tie_tolerance * max(a, b)
     assert decision.direction is Direction.UNDECIDED
 
 
