@@ -15,7 +15,7 @@ import numpy as np
 from .config import RunConfig
 from .embeddings import ridge_factorization
 from .kernels import KernelSpec, center, gram, rbf
-from .pairs import Direction, PairedDataset, standardize
+from .pairs import Direction, PairedDataset
 
 
 class IgciReference(str, Enum):
@@ -23,13 +23,14 @@ class IgciReference(str, Enum):
     UNIFORM = "Uniform"
 
 
-def oriented(dataset: PairedDataset, direction) -> tuple[np.ndarray, np.ndarray]:
-    """(cause-candidate, effect-candidate) views of a pair for one direction."""
+def roles(direction) -> tuple[str, str]:
+    """Names of the (cause-candidate, effect-candidate) columns of a pair,
+    ``"xs"`` or ``"ys"``, for one direction."""
     direction = Direction(direction)
     if direction is Direction.X_TO_Y:
-        return dataset.xs, dataset.ys
+        return "xs", "ys"
     if direction is Direction.Y_TO_X:
-        return dataset.ys, dataset.xs
+        return "ys", "xs"
     raise ValueError("direction must be XtoY or YtoX")
 
 
@@ -53,9 +54,9 @@ def kcdc_score(dataset: PairedDataset, direction, config: RunConfig | None = Non
     config = config or RunConfig()
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
-    cause, effect = oriented(dataset, direction)
-    Kx = gram(config.kcdc_input_kernel, standardize(cause))
-    Ky = gram(config.kcdc_output_kernel, standardize(effect))
+    cause, effect = roles(direction)
+    Kx = gram(config.kcdc_input_kernel, dataset.standardized(cause))
+    Ky = gram(config.kcdc_output_kernel, dataset.standardized(effect))
     return kcdc_deviance(Kx, Ky, config.lam)
 
 
@@ -77,9 +78,11 @@ def spacing_entropy(values) -> float:
     return float((1.0 / np.arange(1, n)).sum() + np.log(positive).sum() / (n - 1))
 
 
-def _reference_normalize(values: np.ndarray, reference: IgciReference) -> np.ndarray:
+def _reference_normalize(dataset: PairedDataset, column: str,
+                         reference: IgciReference) -> np.ndarray:
     if reference is IgciReference.GAUSSIAN:
-        return standardize(values)
+        return dataset.standardized(column)
+    values = getattr(dataset, column)
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         raise ValueError("cannot normalize a constant variable")
@@ -98,9 +101,9 @@ def igci_score(dataset: PairedDataset, direction,
     reference = IgciReference(reference)
     if dataset.n < 10:
         raise ValueError("entropy comparison needs at least 10 paired samples")
-    cause, effect = oriented(dataset, direction)
-    h_cause = spacing_entropy(_reference_normalize(cause, reference))
-    h_effect = spacing_entropy(_reference_normalize(effect, reference))
+    cause, effect = roles(direction)
+    h_cause = spacing_entropy(_reference_normalize(dataset, cause, reference))
+    h_effect = spacing_entropy(_reference_normalize(dataset, effect, reference))
     return h_effect - h_cause
 
 
@@ -144,9 +147,7 @@ def anm_score(dataset: PairedDataset, direction, config: RunConfig | None = None
     config = config or RunConfig()
     if dataset.n < 10:
         raise ValueError("regression score needs at least 10 paired samples")
-    cause, effect = oriented(dataset, direction)
-    x = standardize(cause)
-    y = standardize(effect)
+    x, y = (dataset.standardized(name) for name in roles(direction))
     K = gram(config.anm_kernel, x)
     residual = y - K @ ridge_factorization(K, config.anm_ridge).solve(y)
     del K  # freed before hsic builds its two Grams

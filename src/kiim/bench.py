@@ -2,12 +2,14 @@
 
 Each (mechanism, noise) cell runs ``trials`` independent datasets; trial
 t uses seed ``base_seed XOR t`` so cells share draws and reruns are
-reproducible. One pool task generates a trial's dataset once and scores it
-with every requested method (``_score_dataset``). A method's trial is
-correct when the inferred direction is XtoY, the generator's causal
-direction; Undecided and failures count as incorrect (failures are also
-logged and tallied), and a failure of the whole trial counts against every
-method.
+reproducible. One pool task is one trial: it draws every requested cell's
+dataset and scores them together with every requested method
+(``_score_datasets``), so work on the cause column that the cells share is
+done once per trial. A method's trial is correct when the inferred
+direction is XtoY, the generator's causal direction; Undecided and failures
+count as incorrect (failures are also logged and tallied). A failed draw
+counts against every method of its cell, and a failure of the whole task
+against every (cell, method).
 """
 
 from __future__ import annotations
@@ -84,12 +86,21 @@ def parse_cells(text: str) -> tuple[tuple[Mechanism, Noise], ...]:
     return tuple(cells)
 
 
-def _synthetic_trial(mechanism, noise, n, seed, methods, config) -> tuple:
-    """Per method, ``(hit, None)`` with hit True for a correct decision, or
-    ``(None, message)``."""
-    spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
-    return tuple((None if d is None else d.direction is Direction.X_TO_Y, error)
-                 for d, error in _score_dataset(generate(spec), methods, config))
+def _synthetic_trial(cells, n, seed, methods, config) -> tuple:
+    """Per (cell, method), cell by cell, ``(hit, None)`` with hit True for a
+    correct decision, or ``(None, message)``. Every cell's dataset is drawn at
+    ``seed`` and all are scored together; a cell whose draw fails fails only
+    its own methods."""
+    drawn = [_run_trial((generate, MechanismSpec(mechanism=mechanism, noise=noise, n=n,
+                                                 seed=seed)))
+             for mechanism, noise in cells]
+    scored = iter(_score_datasets([ds for ds, error in drawn if error is None], methods, config))
+    outcomes = []
+    for _, error in drawn:
+        per_method = next(scored) if error is None else ((None, error),) * len(methods)
+        outcomes.extend((None if d is None else d.direction is Direction.X_TO_Y, message)
+                        for d, message in per_method)
+    return tuple(outcomes)
 
 
 def _ablation_trial(mechanism, noise, n, seed, d_max, config) -> tuple[bool, ...]:
@@ -108,17 +119,49 @@ def _run_trial(task) -> tuple:
         return None, str(exc) or repr(exc)
 
 
+def _score_datasets(datasets, methods, config) -> list[tuple]:
+    """Per dataset, ``_run_trial((infer_direction, dataset, method, config,
+    grams))`` for each method, in the given order.
+
+    KIIM and Rw-KIIM run first, over every dataset, on one Gram cache (see
+    ``scoring._invariance_factor``). From one dataset to the next it keeps
+    only the entries of the cause column ``xs`` when the two datasets hold it
+    bit for bit alike, as the cells of a synthetic trial do: its Grams and,
+    reserved for it, Rw-KIIM's coefficients. So a lone dataset keeps the
+    working set of one decision, and a run of datasets with one cause holds
+    one n x n array more. The cache is emptied before KCDC, IGCI and ANM run
+    dataset by dataset. Each dataset standardizes a column once, and a
+    shared cause is standardized once per call.
+    """
+    same = [k > 0 and ds.xs.tobytes() == datasets[k - 1].xs.tobytes()
+            for k, ds in enumerate(datasets)] + [False]
+    outcomes = [{} for _ in datasets]
+    grams = {}
+    for k, dataset in enumerate(datasets):
+        # Keep what the last dataset left of a shared cause; reserve the
+        # coefficients of a cause that the next dataset shares.
+        for key in [key for key in grams if not (same[k] and key[-1] == "xs")]:
+            del grams[key]
+        if same[k + 1]:
+            grams.setdefault(("coeffs", "xs"), None)
+        for method in methods:
+            if method in _GRAM_METHODS:
+                outcomes[k][method] = _run_trial((infer_direction, dataset, method, config,
+                                                  grams))
+    grams.clear()
+    for k, dataset in enumerate(datasets):
+        if same[k]:
+            dataset.share_standardized(datasets[k - 1], "xs")
+        for method in methods:
+            if method not in _GRAM_METHODS:
+                outcomes[k][method] = _run_trial((infer_direction, dataset, method, config,
+                                                  grams))
+    return [tuple(scored[method] for method in methods) for scored in outcomes]
+
+
 def _score_dataset(dataset, methods, config) -> tuple:
-    """``_run_trial((infer_direction, dataset, method, config, grams))`` for each
-    method, in the given order. KIIM and Rw-KIIM run first, back to back on one
-    Gram cache, which each holds whole for its decision anyway; it is emptied
-    before any other method runs, so no method's peak memory goes up."""
-    grams, outcomes = {}, {}
-    for method in sorted(methods, key=lambda m: m not in _GRAM_METHODS):
-        if method not in _GRAM_METHODS:
-            grams.clear()
-        outcomes[method] = _run_trial((infer_direction, dataset, method, config, grams))
-    return tuple(outcomes[method] for method in methods)
+    """``_score_datasets`` for one dataset."""
+    return _score_datasets((dataset,), methods, config)[0]
 
 
 def run_trials(tasks, jobs: int) -> list[tuple]:
@@ -127,19 +170,23 @@ def run_trials(tasks, jobs: int) -> list[tuple]:
     must be picklable); then one warning per failure, ``trial failed: <label>:
     <message>``.
 
-    A task whose label is a tuple scores one dataset several ways: its ``fn``
-    returns one ``_run_trial`` outcome per label, as ``_score_dataset`` does,
-    and that tuple is the task's entry. When the whole task fails, every label
-    fails with its message.
+    A task whose label is a tuple has several outcomes: its ``fn`` returns one
+    ``_run_trial`` outcome per label, as ``_score_dataset`` and
+    ``_synthetic_trial`` do, and that tuple is the task's entry. When the
+    whole task fails, every label fails with its message.
 
     The pool is forked on one BLAS thread, so forked workers inherit one
     thread, score on it and never start OpenBLAS helpers (see ``blas``).
+    Tasks go out in chunks of up to 4, and small enough that each worker
+    gets at least four chunks when there are tasks for it: a run of 8 trial
+    tasks on 2 workers goes one task at a time.
     """
     calls = [task[1:] for task in tasks]
     workers = min(jobs, len(calls))
     if workers > 1:
+        chunksize = max(1, min(4, len(calls) // (4 * workers)))
         with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, calls, chunksize=4))
+            outcomes = list(pool.map(_run_trial, calls, chunksize=chunksize))
     else:
         outcomes = [_run_trial(call) for call in calls]
     entries = []
@@ -184,19 +231,19 @@ def _check_run(cells, methods, seed: int, n: int | None, trials: int = 1) -> tup
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
                   config: RunConfig | None = None, jobs: int = 1) -> tuple[CellResult, ...]:
     """Accuracy per (cell, method) over seeded independent trials; repeats are
-    scored once, in first-seen order. One task per (cell, trial) scores every
-    method."""
+    scored once, in first-seen order. One task per trial scores every cell
+    with every method (``_synthetic_trial``)."""
     config = config or RunConfig()
     cells, methods = _check_run(cells, methods, seed, n, trials)
     tasks = [(tuple(f"{mechanism.value}/{noise.value} seed {seed ^ t} {method.value}"
-                    for method in methods),
-              _synthetic_trial, mechanism, noise, n, seed ^ t, methods, config)
-             for mechanism, noise in cells for t in range(trials)]
+                    for mechanism, noise in cells for method in methods),
+              _synthetic_trial, cells, n, seed ^ t, methods, config)
+             for t in range(trials)]
     outcomes = run_trials(tasks, jobs)
     results = []
     for k, (mechanism, noise) in enumerate(cells):
         for j, method in enumerate(methods):
-            hits = [trial[j][0] for trial in outcomes[k * trials:(k + 1) * trials]]
+            hits = [trial[k * len(methods) + j][0] for trial in outcomes]
             results.append(CellResult(mechanism=mechanism, noise=noise, method=method,
                                       trials=trials, correct=hits.count(True),
                                       errors=hits.count(None)))

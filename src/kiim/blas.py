@@ -15,7 +15,19 @@ are already loaded (the mechanism threadpoolctl uses);
 ``OPENBLAS_NUM_THREADS`` is read only when a library loads. Where a library
 or symbol is not found, nothing is changed for it. The count is
 process-wide, so scores should not run concurrently from several threads of
-one process.
+one process. Two measured hazards make that a rule for the solves as well:
+
+* ``scipy.linalg.lapack.dgetrs`` shifts the caller's pivot array to 1-based
+  indices in place for the length of the call. Two threads that solve with
+  one shared ``(lu, piv)``, even into separate outputs, got values off by
+  1.4 to 1.7 times the largest entry at n = 100, 300 and 1000 on one
+  OpenBLAS thread (and by up to 460 times on two); with a private pivot
+  copy per thread the results were exact.
+* A solve split by column blocks is not always one call bit for bit: a
+  split matched at n <= 512 and at n = 1000, but at n = 700, 777 and 999
+  only a split at column 384 did.
+
+So kiim never solves one factor from two threads and never splits a solve.
 
 A setter is called only when a count must change. OpenBLAS stops its
 helper threads at every fork, and the first setter call in the child starts

@@ -24,7 +24,13 @@ from .kernels import center
 
 
 class _Factorization:
-    """One-time factorization of (matrix + shift I), reused across solves.
+    """Factorization of (matrix + shift I), for one solve.
+
+    Every kiim factor is solved exactly once: against n right-hand sides
+    (KIIM, Rw-KIIM, KCDC) or against one (ANM). Callers make the factor
+    before they copy the right-hand side: the transient Cholesky copy below
+    and that right-hand side are then never live together, which keeps a
+    decision within four n x n arrays.
 
     ``matrix`` is a private F-order array: the shift goes onto its diagonal
     and the LU overwrites it, so the factor costs no n x n array beyond it.
@@ -65,7 +71,7 @@ class _Factorization:
 
 
 def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:
-    """Factor (K + shift I) once for reuse across all right-hand sides."""
+    """Factor (K + shift I) once, for one solve against all right-hand sides."""
     # K + 0.0 is the private copy, bit for bit the off-diagonal of K + shift I.
     return _Factorization(np.add(K, 0.0, order="F", dtype=float), shift)
 

@@ -7,7 +7,7 @@ reader also reads the benchmark's ``pairmeta.txt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -28,6 +28,8 @@ class PairedDataset:
 
     xs: np.ndarray
     ys: np.ndarray
+    #: Column name -> its standardized values; see ``standardized``.
+    _standardized: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float).ravel()
@@ -46,6 +48,22 @@ class PairedDataset:
     @property
     def n(self) -> int:
         return int(self.xs.size)
+
+    def standardized(self, column: str) -> np.ndarray:
+        """``standardize`` of the column ``"xs"`` or ``"ys"``, read-only and
+        computed once per dataset: every method and both directions read it."""
+        values = self._standardized.get(column)
+        if values is None:
+            values = standardize(getattr(self, column))
+            values.setflags(write=False)
+            self._standardized[column] = values
+        return values
+
+    def share_standardized(self, other: "PairedDataset", column: str) -> None:
+        """Take ``other``'s standardized ``column`` if it has computed one. The
+        caller has checked that the two raw columns are bit-for-bit equal."""
+        if column in other._standardized:
+            self._standardized.setdefault(column, other._standardized[column])
 
     def subsampled(self, size: int, rng: np.random.Generator) -> "PairedDataset":
         """Uniform subsample without replacement, original order preserved."""

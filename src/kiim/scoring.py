@@ -18,13 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .baselines import anm_score, igci_score, kcdc_score, IgciReference, oriented
+from .baselines import anm_score, igci_score, kcdc_score, IgciReference, roles
 from .blas import one_thread
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import NumericalError
 from .kernels import center, gram
-from .pairs import Direction, PairedDataset, standardize
+from .pairs import Direction, PairedDataset
 
 CLAMP_FACTOR = 1e-10
 
@@ -207,20 +207,29 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
                        reweighted: bool, grams: dict) -> np.ndarray:
     """B of M = B^T B for one direction. ``grams`` maps (kernel spec, column
     name) to the Gram of that standardized column; calls that share it
-    build each Gram once."""
+    build each Gram once. Rw-KIIM's coefficients for a cause column are
+    kept under ``("coeffs", name)`` only when the caller has reserved that
+    key with None: they are an n x n array more, worth holding only for a
+    later dataset with the same cause (``bench._score_datasets``)."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
-    names = ("xs", "ys") if oriented(dataset, direction)[0] is dataset.xs else ("ys", "xs")
+    names = roles(direction)
     keys = tuple(zip((config.kernel_x, config.kernel_y), names))
     for spec, name in keys:
         if (spec, name) not in grams:
-            grams[spec, name] = gram(spec, standardize(getattr(dataset, name)))
+            grams[spec, name] = gram(spec, dataset.standardized(name))
     Kx, Ky = (grams[key] for key in keys)
     if reweighted:
-        # Rw-KIIM weights the cause sample toward a uniform reference on its range.
-        r = reweighting_vector(standardize(getattr(dataset, names[0])),
-                               clip_quantile=config.rw_clip_quantile)
-        return _coeffs_factor(reweighted_cond_matrix(Kx, r, config.lam), Ky)
+        coeffs = ("coeffs", names[0])
+        A = grams.get(coeffs)
+        if A is None:
+            # Rw-KIIM weights the cause sample toward a uniform reference on its range.
+            r = reweighting_vector(dataset.standardized(names[0]),
+                                   clip_quantile=config.rw_clip_quantile)
+            A = reweighted_cond_matrix(Kx, r, config.lam)
+            if coeffs in grams:
+                grams[coeffs] = A
+        return _coeffs_factor(A, Ky)
     return _kiim_factor(Kx, Ky, config.lam)
 
 

@@ -9,7 +9,7 @@ from kiim import (ConfigurationError, Direction, IgciReference, Mechanism,
                   MechanismSpec, Method, Noise, PairedDataset, RunConfig, anm_score,
                   build_config, generate, gram, hsic, igci_score, infer_direction,
                   kcdc_deviance, kcdc_score, rbf, run_synthetic, spacing_entropy)
-from kiim.baselines import oriented
+from kiim.baselines import roles
 from kiim.scoring import direction_score
 
 
@@ -18,14 +18,11 @@ def _cell_accuracy(results):
     return results[0].accuracy
 
 
-def test_oriented_views():
-    ds = PairedDataset([1.0, 2.0], [3.0, 4.0])
-    cause, effect = oriented(ds, Direction.X_TO_Y)
-    assert cause is ds.xs and effect is ds.ys
-    cause, effect = oriented(ds, Direction.Y_TO_X)
-    assert cause is ds.ys and effect is ds.xs
+def test_roles_name_the_cause_and_effect_columns():
+    assert roles(Direction.X_TO_Y) == ("xs", "ys")
+    assert roles(Direction.Y_TO_X) == ("ys", "xs")
     with pytest.raises(ValueError):
-        oriented(ds, Direction.UNDECIDED)
+        roles(Direction.UNDECIDED)
 
 
 def test_baseline_config_validation():

@@ -5,12 +5,14 @@ import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 import kiim.bench
-from kiim import Mechanism, Method, Noise, NumericalError, evaluate_tcep, load_tcep, \
-    run_ablation, run_synthetic, table1_grid
-from kiim.bench import run_trials
+from kiim import Mechanism, MechanismSpec, Method, Noise, NumericalError, PairedDataset, \
+    RunConfig, evaluate_tcep, generate, infer_direction, load_tcep, run_ablation, \
+    run_synthetic, scoring, table1_grid
+from kiim.bench import _score_datasets, _synthetic_trial, run_trials
 
 CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
 
@@ -135,9 +137,10 @@ def test_one_methods_failures_stay_in_its_own_rows_on_a_pool(monkeypatch, caplog
     assert [(r.errors, r.correct) for r in results[1::2]] == [(trials, 0)] * len(CELLS)
     failed = [(r.levelno, r.getMessage()) for r in caplog.records
               if "trial failed" in r.getMessage()]
+    # One task per trial: the warnings come in (trial, cell) order.
     assert failed == [(logging.WARNING, f"trial failed: {cell} seed {seed ^ t} RwKIIM: "
                        "singular ridge system")
-                      for cell in ("ANM1/Gaussian", "MNM2/Uniform") for t in range(trials)]
+                      for t in range(trials) for cell in ("ANM1/Gaussian", "MNM2/Uniform")]
 
 
 def test_a_synthetic_task_scores_one_dataset_with_every_method(monkeypatch):
@@ -147,7 +150,8 @@ def test_a_synthetic_task_scores_one_dataset_with_every_method(monkeypatch):
                         lambda tasks, jobs: sizes.append(len(tasks)) or run_trials(tasks, jobs))
     results = run_synthetic(table1_grid(), list(Method), trials=8, n=10)
     assert len(results) == 10 * 6
-    assert sizes == [10 * 8]
+    # One task per trial, each scoring all ten cells' datasets.
+    assert sizes == [8]
 
 
 # KIIM and Rw-KIIM apart, and KIIM repeated: the repeat is scored once.
@@ -210,3 +214,130 @@ def test_runs_reject_cells_outside_the_grid_before_any_trial(monkeypatch, run, c
         else:
             run_ablation(cells, d_max=1, trials=2, n=30)
     assert ran == []
+
+
+# Three cells whose generators all draw the cause first from the trial's seed.
+_TRIAL_CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM),
+                (Mechanism.CNM, Noise.GAUSSIAN)]
+
+
+def _hex(outcomes):
+    """Each ``(decision, error)`` as float hex scores and the direction, or the error."""
+    return [error if d is None else (d.score_xy.score.hex(), d.score_yx.score.hex(), d.direction)
+            for d, error in outcomes]
+
+
+def _alone(dataset, methods):
+    """``_hex`` of each method's decision on a fresh copy of ``dataset``, scored by itself."""
+    copy = PairedDataset(dataset.xs.copy(), dataset.ys.copy())
+    return _hex([(infer_direction(copy, method), None) for method in methods])
+
+
+def test_every_score_of_a_trial_is_the_score_of_its_dataset_alone():
+    methods = list(Method)
+    for t in range(3):
+        datasets = [generate(MechanismSpec(mechanism=m, noise=z, n=60, seed=9 ^ t))
+                    for m, z in table1_grid()]
+        together = _score_datasets(datasets, methods, RunConfig())
+        assert len(together) == len(datasets)
+        for dataset, outcomes in zip(datasets, together):
+            assert _hex(outcomes) == _alone(dataset, methods)
+
+
+def _count_shared_work(monkeypatch):
+    """Record the Grams and the Rw-KIIM coefficient matrices that KIIM and
+    Rw-KIIM build."""
+    built = {"gram": [], "reweighted_cond_matrix": []}
+    for name, calls in built.items():
+        def spy(*args, _original=getattr(scoring, name), _calls=calls):
+            _calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(scoring, name, spy)
+    return built
+
+
+def test_a_trial_builds_its_shared_cause_work_once(monkeypatch):
+    """Three cells with one cause: one Gram and one coefficient matrix for the
+    cause, one of each for every effect."""
+    built = _count_shared_work(monkeypatch)
+    _synthetic_trial(_TRIAL_CELLS, 40, 5, (Method.KIIM, Method.RW_KIIM), RunConfig())
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "gram": 1 + 3, "reweighted_cond_matrix": 1 + 3}
+
+
+def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
+    generate = kiim.bench.generate
+
+    def perturb_mnm2(spec):
+        dataset = generate(spec)
+        if spec.mechanism is not Mechanism.MNM2:
+            return dataset
+        xs = dataset.xs.copy()
+        xs[0] = np.nextafter(xs[0], np.inf)
+        return PairedDataset(xs, dataset.ys)
+
+    monkeypatch.setattr(kiim.bench, "generate", perturb_mnm2)
+    seen = []
+    score = kiim.bench._score_datasets
+
+    def spy(datasets, methods, config):
+        seen.append((datasets, score(datasets, methods, config)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(kiim.bench, "_score_datasets", spy)
+    built = _count_shared_work(monkeypatch)
+    methods = [Method.RW_KIIM, Method.ANM, Method.KIIM]
+    results = run_synthetic(_TRIAL_CELLS, methods, trials=2, n=40, seed=5)
+    # Only the outer cells share a cause, and they are no neighbours: each of
+    # the three datasets builds its own two Grams and two coefficient matrices.
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "gram": 2 * 3 * 2, "reweighted_cond_matrix": 2 * 3 * 2}
+    monkeypatch.setattr(kiim.bench, "_score_datasets", score)
+    assert len(seen) == 2
+    for datasets, outcomes in seen:
+        anm1, mnm2, cnm = (ds.xs.tobytes() for ds in datasets)
+        assert anm1 == cnm != mnm2
+        for dataset, per_method in zip(datasets, outcomes):
+            assert _hex(per_method) == _alone(dataset, methods)
+    assert results == tuple(r for cell in _TRIAL_CELLS
+                            for r in run_synthetic([cell], methods, trials=2, n=40, seed=5))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_draw_fails_only_its_own_cells_rows(monkeypatch, caplog, jobs):
+    methods, trials, seed = [Method.KIIM, Method.IGCI_GAUSS], 3, 4
+    bad = seed ^ 2
+    clean = run_synthetic(_TRIAL_CELLS, methods, trials=trials, n=30, seed=seed)
+    bad_hits = [r.correct for r in run_synthetic([_TRIAL_CELLS[1]], methods, trials=1, n=30,
+                                                 seed=bad)]
+    generate = kiim.bench.generate
+
+    def fail_one_draw(spec):
+        if spec.mechanism is Mechanism.MNM2 and spec.seed == bad:
+            raise NumericalError("generator failed")
+        return generate(spec)
+
+    monkeypatch.setattr(kiim.bench, "generate", fail_one_draw)
+    _spy_pools(monkeypatch, mp_context=multiprocessing.get_context("fork"))
+    with caplog.at_level(logging.WARNING, logger="kiim.bench"):
+        results = run_synthetic(_TRIAL_CELLS, methods, trials=trials, n=30, seed=seed,
+                                jobs=jobs)
+    assert results[:2] == clean[:2] and results[4:] == clean[4:]
+    assert [(r.errors, r.correct) for r in results[2:4]] == [
+        (1, r.correct - hit) for r, hit in zip(clean[2:4], bad_hits)]
+    failed = [r.getMessage() for r in caplog.records if "trial failed" in r.getMessage()]
+    assert failed == [f"trial failed: MNM2/Uniform seed {bad} {m.value}: generator failed"
+                      for m in methods]
+
+
+def test_a_two_cell_trial_holds_at_most_five_n_by_n_arrays(traced_peak):
+    """A trial keeps its shared cause's Gram and Rw-KIIM coefficients from one
+    dataset to the next: one n x n array more than one dataset's four, with
+    the same 1 MB for vectors and Gram row blocks."""
+    n = 1000
+    outcomes = []
+    peak = traced_peak(lambda: outcomes.extend(
+        _synthetic_trial(_TRIAL_CELLS[:2], n, 0, tuple(Method), RunConfig())))
+    assert peak < 5 * n * n * 8 + 1e6
+    assert [error for _, error in outcomes] == [None] * 2 * len(Method)

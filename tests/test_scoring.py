@@ -666,6 +666,43 @@ def test_kiim_decides_a_log_mechanism_with_a_heavy_tailed_cause():
     assert infer_direction(PairedDataset(x, y), Method.KIIM).direction is Direction.X_TO_Y
 
 
+# Both kernels positive definite: rbf() with the median bandwidth.
+_RBF = dataclasses.replace(RunConfig(), kernel_x=rbf(), kernel_y=rbf())
+
+
+def test_a_positive_definite_kernel_loses_an_mnm2_dataset():
+    """Pins today's outcome, an open question in docs/formats.md ("Kernel"):
+    the default kernel decides this MNM2 dataset and rbf() does not. The
+    standardized effect is heavy-tailed, so its default-kernel Gram is small
+    (largest magnitude 0.003, against 0.16 for the cause's), and the
+    direction that ends on it, the causal one, scores 2.7e-5 against 2.4.
+    rbf() has a unit diagonal, so neither Gram is small, and KIIM reads YtoX."""
+    ds = generate(MechanismSpec(mechanism=Mechanism.MNM2, noise=Noise.GAUSSIAN, n=100, seed=0))
+    config = RunConfig()
+    small = [np.abs(gram(spec, standardize(column))).max()
+             for spec, column in ((config.kernel_y, ds.ys), (config.kernel_x, ds.xs))]
+    assert small[0] < 0.01 < small[1]
+    assert infer_direction(ds, Method.KIIM, config).direction is Direction.X_TO_Y
+    assert infer_direction(ds, Method.KIIM, _RBF).direction is Direction.Y_TO_X
+
+
+def test_a_positive_definite_kernel_decides_the_log_mirror_pair():
+    """Pins today's outcome, an open question in docs/formats.md ("Kernel"):
+    on the mirror pair of the strict xfail above the heavy-tailed column is
+    the cause, so its default-kernel Gram is the small one (largest magnitude
+    0.02, against 0.17 for the effect's), and the default kernel reads it as
+    the effect. rbf() decides the pair."""
+    rng = np.random.default_rng(0)
+    x = np.exp(2 * rng.standard_normal(100))
+    ds = PairedDataset(x, np.log(x) + 0.3 * rng.standard_normal(100))
+    config = RunConfig()
+    small = [np.abs(gram(spec, standardize(column))).max()
+             for spec, column in ((config.kernel_x, ds.xs), (config.kernel_y, ds.ys))]
+    assert small[0] < 0.05 < small[1]
+    assert infer_direction(ds, Method.KIIM, config).direction is Direction.Y_TO_X
+    assert infer_direction(ds, Method.KIIM, _RBF).direction is Direction.X_TO_Y
+
+
 # -------------------------------------------------------------- rank_ablation
 
 def test_rank_ablation_d_zero_is_trace_over_n():
