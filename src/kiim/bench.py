@@ -4,12 +4,13 @@ Each (mechanism, noise) cell runs ``trials`` independent datasets; trial
 t uses seed ``base_seed XOR t`` so cells share draws and reruns are
 reproducible. One pool task is one trial: it draws every requested cell's
 dataset and scores them together with every requested method
-(``_score_datasets``), so work on the cause column that the cells share is
-done once per trial. A method's trial is correct when the inferred
-direction is XtoY, the generator's causal direction; Undecided and failures
-count as incorrect (failures are also logged and tallied). A failed draw
-counts against every method of its cell, and a failure of the whole task
-against every (cell, method).
+(``kiim.scoring.score_datasets``), so work on the cause column that the
+cells share is done once per trial. A method's trial is correct when the
+inferred direction is XtoY, the generator's causal direction; Undecided and
+failures (captured by ``kiim.errors.attempt``) count as incorrect, and
+failures are also logged and tallied. A failed draw counts against every
+method of its cell, and a failure of the whole task against every (cell,
+method).
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from dataclasses import dataclass
 
 from . import blas
 from .config import RunConfig
-from .errors import TRIAL_ERRORS, ConfigurationError
+from .errors import ConfigurationError, attempt
 from .pairs import Direction
-from .scoring import Method, check_sample_size, infer_direction, rank_ablation
+from .scoring import Method, check_sample_size, rank_ablation, score_datasets
 from .synthdata import Mechanism, MechanismSpec, Noise, generate, table1_grid
 
 log = logging.getLogger(__name__)
-
-#: The methods that score from ``scoring._invariance_factor``'s Gram cache.
-_GRAM_METHODS = (Method.KIIM, Method.RW_KIIM)
 
 
 @dataclass(frozen=True)
@@ -91,89 +89,31 @@ def _synthetic_trial(cells, n, seed, methods, config) -> tuple:
     correct decision, or ``(None, message)``. Every cell's dataset is drawn at
     ``seed`` and all are scored together; a cell whose draw fails fails only
     its own methods."""
-    drawn = [_run_trial((generate, MechanismSpec(mechanism=mechanism, noise=noise, n=n,
-                                                 seed=seed)))
+    drawn = [attempt((generate, MechanismSpec(mechanism=mechanism, noise=noise, n=n,
+                                              seed=seed)))
              for mechanism, noise in cells]
-    scored = iter(_score_datasets([ds for ds, error in drawn if error is None], methods, config))
+    scored = iter(score_datasets([ds for ds, error in drawn if error is None], methods, config))
     outcomes = []
     for _, error in drawn:
-        per_method = next(scored) if error is None else ((None, error),) * len(methods)
-        outcomes.extend((None if d is None else d.direction is Direction.X_TO_Y, message)
-                        for d, message in per_method)
+        for _ in methods:
+            d, message = next(scored) if error is None else (None, error)
+            outcomes.append((None if d is None else d.direction is Direction.X_TO_Y, message))
     return tuple(outcomes)
 
 
-def _ablation_trial(mechanism, noise, n, seed, d_max, config) -> tuple[bool, ...]:
+def _ablation_trial(mechanism, noise, n, seed, d_max, config) -> tuple:
     spec = MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed)
-    return tuple(p.direction is Direction.X_TO_Y
-                 for p in rank_ablation(generate(spec), d_max, config))
-
-
-def _run_trial(task) -> tuple:
-    """``(fn(*args), None)`` for a task ``(fn, *args)``, or ``(None, message)``
-    when ``fn`` raises one of ``TRIAL_ERRORS``."""
-    fn, *args = task
-    try:
-        return fn(*args), None
-    except TRIAL_ERRORS as exc:
-        return None, str(exc) or repr(exc)
-
-
-def _score_datasets(datasets, methods, config) -> list[tuple]:
-    """Per dataset, ``_run_trial((infer_direction, dataset, method, config,
-    grams))`` for each method, in the given order.
-
-    KIIM and Rw-KIIM run first, over every dataset, on one Gram cache (see
-    ``scoring._invariance_factor``). From one dataset to the next it keeps
-    only the entries of the cause column ``xs`` when the two datasets hold it
-    bit for bit alike, as the cells of a synthetic trial do: its Grams and,
-    reserved for it, Rw-KIIM's coefficients. So a lone dataset keeps the
-    working set of one decision, and a run of datasets with one cause holds
-    one n x n array more. The cache is emptied before KCDC, IGCI and ANM run
-    dataset by dataset. Each dataset standardizes a column once, and a
-    shared cause is standardized once per call.
-    """
-    same = [k > 0 and ds.xs.tobytes() == datasets[k - 1].xs.tobytes()
-            for k, ds in enumerate(datasets)] + [False]
-    outcomes = [{} for _ in datasets]
-    grams = {}
-    for k, dataset in enumerate(datasets):
-        # Keep what the last dataset left of a shared cause; reserve the
-        # coefficients of a cause that the next dataset shares.
-        for key in [key for key in grams if not (same[k] and key[-1] == "xs")]:
-            del grams[key]
-        if same[k + 1]:
-            grams.setdefault(("coeffs", "xs"), None)
-        for method in methods:
-            if method in _GRAM_METHODS:
-                outcomes[k][method] = _run_trial((infer_direction, dataset, method, config,
-                                                  grams))
-    grams.clear()
-    for k, dataset in enumerate(datasets):
-        if same[k]:
-            dataset.share_standardized(datasets[k - 1], "xs")
-        for method in methods:
-            if method not in _GRAM_METHODS:
-                outcomes[k][method] = _run_trial((infer_direction, dataset, method, config,
-                                                  grams))
-    return [tuple(scored[method] for method in methods) for scored in outcomes]
-
-
-def _score_dataset(dataset, methods, config) -> tuple:
-    """``_score_datasets`` for one dataset."""
-    return _score_datasets((dataset,), methods, config)[0]
+    return ((tuple(p.direction is Direction.X_TO_Y
+                   for p in rank_ablation(generate(spec), d_max, config)), None),)
 
 
 def run_trials(tasks, jobs: int) -> list[tuple]:
-    """``_run_trial(task[1:])`` for each task ``(label, fn, *args)``, in order, on
-    one pool of ``min(jobs, len(tasks))`` processes if that is above 1 (so ``fn``
-    must be picklable); then one warning per failure, ``trial failed: <label>:
-    <message>``.
-
-    A task whose label is a tuple has several outcomes: its ``fn`` returns one
-    ``_run_trial`` outcome per label, as ``_score_dataset`` and
-    ``_synthetic_trial`` do, and that tuple is the task's entry. When the
-    whole task fails, every label fails with its message.
+    """For each task ``(labels, fn, *args)``, in order, ``fn(*args)``: one
+    outcome per label, ``(value, None)`` or ``(None, message)``. A task that
+    raises one of ``errors.TRIAL_ERRORS`` fails every label with its message
+    (``errors.attempt``). Tasks run on one pool of ``min(jobs, len(tasks))``
+    processes if that is above 1 (so ``fn`` must be picklable); then one
+    warning per failed label, ``trial failed: <label>: <message>``.
 
     The pool is forked on one BLAS thread, so forked workers inherit one
     thread, score on it and never start OpenBLAS helpers (see ``blas``).
@@ -186,21 +126,16 @@ def run_trials(tasks, jobs: int) -> list[tuple]:
     if workers > 1:
         chunksize = max(1, min(4, len(calls) // (4 * workers)))
         with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, calls, chunksize=chunksize))
+            outcomes = list(pool.map(attempt, calls, chunksize=chunksize))
     else:
-        outcomes = [_run_trial(call) for call in calls]
+        outcomes = [attempt(call) for call in calls]
     entries = []
-    for (label, *_), (value, error) in zip(tasks, outcomes):
-        if isinstance(label, tuple):
-            entry = value if error is None else ((None, error),) * len(label)
-            labelled = zip(label, entry)
-        else:
-            entry = (value, error)
-            labelled = [(label, entry)]
+    for (labels, *_), (value, error) in zip(tasks, outcomes):
+        entry = value if error is None else ((None, error),) * len(labels)
         entries.append(entry)
-        for name, (_, message) in labelled:
+        for label, (_, message) in zip(labels, entry):
             if message is not None:
-                log.warning("trial failed: %s: %s", name, message)
+                log.warning("trial failed: %s: %s", label, message)
     return entries
 
 
@@ -258,13 +193,13 @@ def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int =
     cells, _ = _check_run(cells, (Method.KIIM,), seed, n, trials)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")
-    tasks = [(f"{mechanism.value}/{noise.value} seed {seed ^ t}",
+    tasks = [((f"{mechanism.value}/{noise.value} seed {seed ^ t}",),
               _ablation_trial, mechanism, noise, n, seed ^ t, d_max, config)
              for mechanism, noise in cells for t in range(trials)]
     outcomes = run_trials(tasks, jobs)
     results = []
     for k, (mechanism, noise) in enumerate(cells):
-        flags = [f for f, _ in outcomes[k * trials:(k + 1) * trials] if f is not None]
+        flags = [f for (f, _), in outcomes[k * trials:(k + 1) * trials] if f is not None]
         for d in range(d_max + 1):
             results.append(AblationCellResult(
                 mechanism=mechanism, noise=noise, discarded_top=d, trials=trials,

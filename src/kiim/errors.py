@@ -43,3 +43,13 @@ class TangencyError(Exception):
 #: Failures one trial or pair evaluation may raise; the harnesses record
 #: them against that trial instead of aborting the run.
 TRIAL_ERRORS = (ValueError, ConfigurationError, NumericalError, FloatingPointError)
+
+
+def attempt(task) -> tuple:
+    """``(fn(*args), None)`` for a task ``(fn, *args)``, or ``(None, message)``
+    when ``fn`` raises one of ``TRIAL_ERRORS``."""
+    fn, *args = task
+    try:
+        return fn(*args), None
+    except TRIAL_ERRORS as exc:
+        return None, str(exc) or repr(exc)

@@ -59,12 +59,6 @@ class PairedDataset:
             self._standardized[column] = values
         return values
 
-    def share_standardized(self, other: "PairedDataset", column: str) -> None:
-        """Take ``other``'s standardized ``column`` if it has computed one. The
-        caller has checked that the two raw columns are bit-for-bit equal."""
-        if column in other._standardized:
-            self._standardized.setdefault(column, other._standardized[column])
-
     def subsampled(self, size: int, rng: np.random.Generator) -> "PairedDataset":
         """Uniform subsample without replacement, original order preserved."""
         if size >= self.n:

@@ -22,7 +22,7 @@ from .baselines import anm_score, igci_score, kcdc_score, IgciReference, roles
 from .blas import one_thread
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
-from .errors import NumericalError
+from .errors import NumericalError, attempt
 from .kernels import center, gram
 from .pairs import Direction, PairedDataset
 
@@ -204,31 +204,31 @@ def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore
 
 
 def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
-                       reweighted: bool, grams: dict) -> np.ndarray:
-    """B of M = B^T B for one direction. ``grams`` maps (kernel spec, column
-    name) to the Gram of that standardized column; calls that share it
-    build each Gram once. Rw-KIIM's coefficients for a cause column are
-    kept under ``("coeffs", name)`` only when the caller has reserved that
-    key with None: they are an n x n array more, worth holding only for a
-    later dataset with the same cause (``bench._score_datasets``)."""
+                       reweighted: bool, cache: dict, keep=()) -> np.ndarray:
+    """B of M = B^T B for one direction. ``cache`` maps (kernel spec, raw
+    column bytes) to the Gram of that column standardized, so calls that share
+    it build each Gram once and an entry serves only a column with the same
+    bits. Rw-KIIM's coefficients for a cause column, an n x n array more, are
+    kept under ``("coeffs", its bytes)`` only when ``keep`` holds those bytes."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
     names = roles(direction)
-    keys = tuple(zip((config.kernel_x, config.kernel_y), names))
-    for spec, name in keys:
-        if (spec, name) not in grams:
-            grams[spec, name] = gram(spec, dataset.standardized(name))
-    Kx, Ky = (grams[key] for key in keys)
+    keys = [(spec, getattr(dataset, name).tobytes())
+            for spec, name in zip((config.kernel_x, config.kernel_y), names)]
+    for key, name in zip(keys, names):
+        if key not in cache:
+            cache[key] = gram(key[0], dataset.standardized(name))
+    Kx, Ky = (cache[key] for key in keys)
     if reweighted:
-        coeffs = ("coeffs", names[0])
-        A = grams.get(coeffs)
+        cause = keys[0][1]
+        A = cache.get(("coeffs", cause))
         if A is None:
             # Rw-KIIM weights the cause sample toward a uniform reference on its range.
             r = reweighting_vector(dataset.standardized(names[0]),
                                    clip_quantile=config.rw_clip_quantile)
             A = reweighted_cond_matrix(Kx, r, config.lam)
-            if coeffs in grams:
-                grams[coeffs] = A
+            if cause in keep:
+                cache["coeffs", cause] = A
         return _coeffs_factor(A, Ky)
     return _kiim_factor(Kx, Ky, config.lam)
 
@@ -245,14 +245,15 @@ def kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = Non
     return direction_score(dataset, direction, Method.KIIM, config or RunConfig())
 
 
-def direction_score(dataset: PairedDataset, direction, method, config: RunConfig,
-                    grams: dict | None = None) -> DirectionScore:
-    """One direction's score under any method, wrapped uniformly; ``grams``
-    is the Gram cache of ``_invariance_factor``, shared by its callers."""
-    method = Method(method)
+def direction_score(dataset: PairedDataset, direction, method,
+                    config: RunConfig) -> DirectionScore:
+    """One direction's score under any method, wrapped uniformly."""
+    return _direction_score(dataset, direction, Method(method), config, {}, ())
+
+
+def _direction_score(dataset, direction, method: Method, config, cache, keep) -> DirectionScore:
     if method in (Method.KIIM, Method.RW_KIIM):
-        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM,
-                               {} if grams is None else grams)
+        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, cache, keep)
         return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
         return DirectionScore(score=kcdc_score(dataset, direction, config))
@@ -271,23 +272,53 @@ def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction
     return Direction.X_TO_Y if score_xy < score_yx else Direction.Y_TO_X
 
 
-def infer_direction(dataset: PairedDataset, method, config: RunConfig | None = None,
-                    grams: dict | None = None) -> CausalDecision:
+def _decision(dataset, method: Method, config, cache, keep=()) -> CausalDecision:
+    """Both directions on one BLAS thread (``blas.one_thread``), sharing
+    ``cache`` (see ``_invariance_factor``)."""
+    with one_thread():
+        score_xy = _direction_score(dataset, Direction.X_TO_Y, method, config, cache, keep)
+        score_yx = _direction_score(dataset, Direction.Y_TO_X, method, config, cache, keep)
+    return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
+                          score_xy=score_xy, score_yx=score_yx, method=method)
+
+
+def infer_direction(dataset: PairedDataset, method,
+                    config: RunConfig | None = None) -> CausalDecision:
     """Score both directions with identical settings and compare.
 
     Smaller score wins; ties within the tolerance are Undecided (see ``_decide``).
-    Both directions run on one BLAS thread (``blas.one_thread``) and share Grams;
-    ``grams``, the cache of ``_invariance_factor``, also shares them with later
-    calls on the same dataset and config.
+    Both directions run on one BLAS thread (``blas.one_thread``) and share Grams.
     """
-    config = config or RunConfig()
-    method = Method(method)
-    grams = {} if grams is None else grams
-    with one_thread():
-        score_xy = direction_score(dataset, Direction.X_TO_Y, method, config, grams)
-        score_yx = direction_score(dataset, Direction.Y_TO_X, method, config, grams)
-    return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
-                          score_xy=score_xy, score_yx=score_yx, method=method)
+    return _decision(dataset, Method(method), config or RunConfig(), {})
+
+
+def score_datasets(datasets, methods, config: RunConfig) -> tuple:
+    """``attempt((infer_direction, dataset, method, config))`` for each dataset
+    and each method, flat in (dataset, method) order: ``(decision, None)``, or
+    ``(None, message)`` for a failure (see ``errors.attempt``).
+
+    KIIM and Rw-KIIM run first, over every dataset, on one cache (see
+    ``_invariance_factor``). From one dataset to the next it keeps only the
+    entries of a column that the next dataset holds bit for bit, as the cells
+    of a synthetic trial hold their cause, and Rw-KIIM's coefficients only
+    for such a column. So a lone dataset keeps the working set of one
+    decision, and a run of datasets with one cause holds one n x n array
+    more. The cache is dropped before KCDC, IGCI and ANM run.
+    """
+    methods = [Method(m) for m in methods]
+    shared = [{ds.xs.tobytes(), ds.ys.tobytes()} for ds in datasets[1:]] + [set()]
+    outcomes, cache = {}, {}
+    for k, (dataset, keep) in enumerate(zip(datasets, shared)):
+        for method in methods:
+            if method in (Method.KIIM, Method.RW_KIIM):
+                outcomes[k, method] = attempt((_decision, dataset, method, config, cache, keep))
+        for key in [key for key in cache if key[1] not in keep]:
+            del cache[key]
+    for k, dataset in enumerate(datasets):
+        for method in methods:
+            if (k, method) not in outcomes:
+                outcomes[k, method] = attempt((_decision, dataset, method, config, {}))
+    return tuple(outcomes[k, method] for k in range(len(datasets)) for method in methods)
 
 
 def rank_ablation(dataset: PairedDataset, d_max: int,
@@ -302,10 +333,10 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
     config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
-    grams, spectra = {}, []
+    cache, spectra = {}, []
     with one_thread():
         for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
-            B = _invariance_factor(dataset, direction, config, False, grams)
+            B = _invariance_factor(dataset, direction, config, False, cache)
             spectra.append(sym_eig(B.T @ B))
     points = []
     for d in range(d_max + 1):

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import _check_run, _score_dataset, run_trials
+from .bench import _check_run, run_trials
 from .config import RunConfig
 from .errors import IngestionError
 from .pairs import Direction, PairedDataset, _read_lines, read_pair_file
-from .scoring import Method
+from .scoring import Method, score_datasets
 
 MULTIVARIATE_IDS = frozenset({52, 53, 54, 55, 71, 105})
 MISSING_VALUE_IDS = frozenset({81, 82, 83})
@@ -139,10 +139,10 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
 
     Oversized pairs are subsampled to ``subsample_limit`` points with a
     generator seeded by (seed, pair id), so reports are reproducible. One
-    task per pair scores every method (``bench._score_dataset``).
-    Undecided or errored evaluations count as incorrect; the weighted
-    accuracy uses the metadata weights. A repeated method is scored once,
-    in first-seen order.
+    task per pair scores every method (``kiim.scoring.score_datasets``).
+    Undecided or errored evaluations (``kiim.errors.attempt``) count as
+    incorrect; the weighted accuracy uses the metadata weights. A repeated
+    method is scored once, in first-seen order.
     """
     config = config or RunConfig()
     pairs = tuple(pairs)
@@ -158,7 +158,7 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
         dataset = pair.dataset.subsampled(subsample_limit or pair.dataset.n,
                                           np.random.default_rng([seed, pair.id]))
         tasks.append((tuple(f"pair {pair.id} {method.value}" for method in methods),
-                      _score_dataset, dataset, methods, config))
+                      score_datasets, (dataset,), methods, config))
     outcomes = chain.from_iterable(run_trials(tasks, jobs))
     results = []
     for (pair, method), (d, error) in zip(product(usable, methods), outcomes):

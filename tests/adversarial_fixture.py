@@ -3,10 +3,10 @@
 One numbered pair file per input that a scorer must survive, plus
 pairmeta.txt: the column shapes that real cause-effect pairs show, two
 columns whose variance overflows, a mirror pair whose cause is heavy-tailed,
-and a pair whose cause is constant after the evaluator subsamples it. Every
-pair is written cause-first, so XtoY is the correct answer throughout. The
-outcome of each (pair, method) is documented in docs/formats.md under
-"Adversarial pairs".
+a pair whose cause is constant after the evaluator subsamples it, and a pair
+whose effect is a copy of its cause. Every pair is written cause-first, so
+XtoY is the correct answer throughout. The outcome of each (pair, method) is
+documented in docs/formats.md under "Adversarial pairs".
 """
 
 from pathlib import Path
@@ -73,6 +73,9 @@ def adversarial_pairs(seed=SEED):
     xs = rng.standard_normal(SUBSAMPLED_N)
     xs[kept] = 1.0
     pairs["constant-after-subsample"] = PairedDataset(xs, rng.standard_normal(SUBSAMPLED_N))
+    # Both roles read one Gram: the columns hold the same bits.
+    xs = np.random.default_rng(seed).standard_normal(60)
+    pairs["identical-columns"] = PairedDataset(xs, xs.copy())
     return pairs
 
 

@@ -57,6 +57,15 @@ def test_every_adversarial_pair_ends_in_its_documented_outcome(adversarial_dir, 
             assert r.error.startswith(expected.removeprefix("error: ")), (r.pair_id, r.method)
 
 
+def test_identical_columns_score_bit_for_bit_alike_both_ways(adversarial_dir):
+    pid = list(adversarial_pairs()).index("identical-columns") + 1
+    pair = [p for p in load_tcep(adversarial_dir) if p.id == pid]
+    results = evaluate_tcep(pair, list(Method)).results
+    assert len(results) == len(Method)
+    for r in results:
+        assert r.score_xy.hex() == r.score_yx.hex(), r.method
+
+
 def test_tcep_command_writes_only_finite_numbers(adversarial_dir, tmp_path, capsys):
     out = tmp_path / "runs"
     methods = "kiim,rw-kiim,kcdc,igci-gauss,igci-uniform,anm"

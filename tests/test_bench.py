@@ -12,7 +12,8 @@ import kiim.bench
 from kiim import Mechanism, MechanismSpec, Method, Noise, NumericalError, PairedDataset, \
     RunConfig, evaluate_tcep, generate, infer_direction, load_tcep, run_ablation, \
     run_synthetic, scoring, table1_grid
-from kiim.bench import _score_datasets, _synthetic_trial, run_trials
+from kiim.bench import _synthetic_trial, run_trials
+from kiim.scoring import score_datasets
 
 CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
 
@@ -31,19 +32,29 @@ def _spy_pools(monkeypatch, **pool_kwargs):
     return opened
 
 
+def _one_outcome(fn, *args):
+    """A task function with one label: ``fn(*args)`` as its one outcome."""
+    return ((fn(*args), None),)
+
+
+def _single(entries):
+    """The one outcome of each entry of one-label tasks."""
+    return [outcome for (outcome,) in entries]
+
+
 def test_run_trials_keeps_task_order_on_a_pool():
-    tasks = [("", abs, t) for t in range(-9, 10)]
+    tasks = [(("",), _one_outcome, abs, t) for t in range(-9, 10)]
     expected = [(abs(t), None) for t in range(-9, 10)]
-    assert run_trials(tasks, jobs=1) == expected
-    assert run_trials(tasks, jobs=2) == expected
+    assert _single(run_trials(tasks, jobs=1)) == expected
+    assert _single(run_trials(tasks, jobs=2)) == expected
 
 
 def test_run_trials_opens_no_more_workers_than_tasks(monkeypatch):
     opened = _spy_pools(monkeypatch)
-    assert run_trials([("", abs, -1)], jobs=2) == [(1, None)]
+    assert _single(run_trials([(("",), _one_outcome, abs, -1)], jobs=2)) == [(1, None)]
     assert opened == []
-    assert run_trials([("", abs, t) for t in (-1, 2, -3)], jobs=8) == [(1, None), (2, None),
-                                                                        (3, None)]
+    assert _single(run_trials([(("",), _one_outcome, abs, t) for t in (-1, 2, -3)],
+                              jobs=8)) == [(1, None), (2, None), (3, None)]
     assert opened == [3]
 
 
@@ -101,7 +112,7 @@ def test_failed_trials_are_counted_and_logged_once(monkeypatch, caplog, run):
     cell = (Mechanism.ANM1, Noise.GAUSSIAN)
     with caplog.at_level(logging.WARNING, logger="kiim.bench"):
         if run == "synthetic":
-            monkeypatch.setattr(kiim.bench, "infer_direction", fail)
+            monkeypatch.setattr(scoring, "_decision", fail)
             results = run_synthetic([cell], [Method.KIIM], trials=trials, n=30, seed=seed)
             suffix = " KIIM"
         else:
@@ -118,14 +129,14 @@ def test_failed_trials_are_counted_and_logged_once(monkeypatch, caplog, run):
 def test_one_methods_failures_stay_in_its_own_rows_on_a_pool(monkeypatch, caplog):
     methods, trials, seed = [Method.KIIM, Method.RW_KIIM], 3, 4
     clean = run_synthetic(CELLS, methods, trials=trials, n=30, seed=seed, jobs=1)
-    infer = kiim.bench.infer_direction
+    infer = scoring._decision
 
-    def fail_rw_kiim(dataset, method, config, grams=None):
+    def fail_rw_kiim(dataset, method, *args):
         if method is Method.RW_KIIM:
             raise NumericalError("singular ridge system")
-        return infer(dataset, method, config, grams)
+        return infer(dataset, method, *args)
 
-    monkeypatch.setattr(kiim.bench, "infer_direction", fail_rw_kiim)
+    monkeypatch.setattr(scoring, "_decision", fail_rw_kiim)
     # Forked workers inherit the patched module; a fresh worker would not.
     opened = _spy_pools(monkeypatch, mp_context=multiprocessing.get_context("fork"))
     with caplog.at_level(logging.WARNING, logger="kiim.bench"):
@@ -227,6 +238,11 @@ def _hex(outcomes):
             for d, error in outcomes]
 
 
+def _per_dataset(outcomes, methods):
+    """``score_datasets``'s flat outcomes, one tuple per dataset."""
+    return [outcomes[k:k + len(methods)] for k in range(0, len(outcomes), len(methods))]
+
+
 def _alone(dataset, methods):
     """``_hex`` of each method's decision on a fresh copy of ``dataset``, scored by itself."""
     copy = PairedDataset(dataset.xs.copy(), dataset.ys.copy())
@@ -238,7 +254,7 @@ def test_every_score_of_a_trial_is_the_score_of_its_dataset_alone():
     for t in range(3):
         datasets = [generate(MechanismSpec(mechanism=m, noise=z, n=60, seed=9 ^ t))
                     for m, z in table1_grid()]
-        together = _score_datasets(datasets, methods, RunConfig())
+        together = _per_dataset(score_datasets(datasets, methods, RunConfig()), methods)
         assert len(together) == len(datasets)
         for dataset, outcomes in zip(datasets, together):
             assert _hex(outcomes) == _alone(dataset, methods)
@@ -279,13 +295,14 @@ def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
 
     monkeypatch.setattr(kiim.bench, "generate", perturb_mnm2)
     seen = []
-    score = kiim.bench._score_datasets
+    score = kiim.bench.score_datasets
 
     def spy(datasets, methods, config):
-        seen.append((datasets, score(datasets, methods, config)))
-        return seen[-1][1]
+        outcomes = score(datasets, methods, config)
+        seen.append((datasets, _per_dataset(outcomes, methods)))
+        return outcomes
 
-    monkeypatch.setattr(kiim.bench, "_score_datasets", spy)
+    monkeypatch.setattr(kiim.bench, "score_datasets", spy)
     built = _count_shared_work(monkeypatch)
     methods = [Method.RW_KIIM, Method.ANM, Method.KIIM]
     results = run_synthetic(_TRIAL_CELLS, methods, trials=2, n=40, seed=5)
@@ -293,7 +310,7 @@ def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
     # the three datasets builds its own two Grams and two coefficient matrices.
     assert {name: len(calls) for name, calls in built.items()} == {
         "gram": 2 * 3 * 2, "reweighted_cond_matrix": 2 * 3 * 2}
-    monkeypatch.setattr(kiim.bench, "_score_datasets", score)
+    monkeypatch.setattr(kiim.bench, "score_datasets", score)
     assert len(seen) == 2
     for datasets, outcomes in seen:
         anm1, mnm2, cnm = (ds.xs.tobytes() for ds in datasets)

@@ -89,7 +89,7 @@ def test_small_n_runs_on_one_thread_and_restores(two_threads):
 @needs_blas
 def test_every_n_scores_on_one_thread(two_threads, monkeypatch):
     calls = _recording_setters(monkeypatch)
-    with _counts_seen_by(scoring, "direction_score") as seen:
+    with _counts_seen_by(scoring, "_direction_score") as seen:
         for n in (100, 999, 1000, 5000):
             infer_direction(_dataset(n), "IGCIUniform")
     assert seen == [(1,) * len(two_threads)] * 8
@@ -109,12 +109,12 @@ def test_no_controls_is_a_no_op(two_threads, monkeypatch):
 def test_infer_direction_scores_small_n_on_one_thread(two_threads, monkeypatch):
     calls = _recording_setters(monkeypatch)
     ones = (1,) * len(two_threads)
-    with _counts_seen_by(scoring, "direction_score") as seen:
+    with _counts_seen_by(scoring, "_direction_score") as seen:
         infer_direction(_dataset(100), "KIIM")
     assert seen == [ones] * 2
     assert all(record == [1, 2] for record in calls)
     # IGCI is cheap enough to take at n = 1000, which is pinned like the rest.
-    with _counts_seen_by(scoring, "direction_score") as seen:
+    with _counts_seen_by(scoring, "_direction_score") as seen:
         infer_direction(_dataset(1000), "IGCIUniform")
     assert seen == [ones] * 2
     assert all(record == [1, 2, 1, 2] for record in calls)
@@ -131,14 +131,14 @@ def test_rank_ablation_scores_small_n_on_one_thread(two_threads):
 def _threads_after_decision(n):
     """Pool task: a KIIM decision at n, then the counts and the OS threads."""
     infer_direction(_dataset(n), "KIIM")
-    return blas.thread_counts(), len(os.listdir("/proc/self/task"))
+    return (((blas.thread_counts(), len(os.listdir("/proc/self/task"))), None),)
 
 
 def _counts_while_scoring(n):
     """Pool task: the counts each direction of an IGCI decision at n saw."""
-    with _counts_seen_by(scoring, "direction_score") as seen:
+    with _counts_seen_by(scoring, "_direction_score") as seen:
         infer_direction(_dataset(n), "IGCIUniform")
-    return seen
+    return ((seen, None),)
 
 
 @needs_blas
@@ -147,16 +147,16 @@ def _counts_while_scoring(n):
                     reason="needs /proc/self/task and forked pool workers")
 def test_pool_workers_score_small_n_without_blas_helpers(two_threads):
     ones = (1,) * len(two_threads)
-    tasks = [("", _threads_after_decision, n) for n in (100, 1000, 100, 100)]
-    assert run_trials(tasks, jobs=2) == [((ones, 1), None)] * 4
+    tasks = [(("",), _threads_after_decision, n) for n in (100, 1000, 100, 100)]
+    assert [outcome for (outcome,) in run_trials(tasks, jobs=2)] == [((ones, 1), None)] * 4
     assert blas.thread_counts() == two_threads
 
 
 @needs_blas
 def test_pool_workers_score_every_n_on_one_thread(two_threads):
     ones = (1,) * len(two_threads)
-    tasks = [("", _counts_while_scoring, n) for n in (100, 1000, 5000, 100)]
-    assert run_trials(tasks, jobs=2) == [([ones] * 2, None)] * 4
+    tasks = [(("",), _counts_while_scoring, n) for n in (100, 1000, 5000, 100)]
+    assert [outcome for (outcome,) in run_trials(tasks, jobs=2)] == [([ones] * 2, None)] * 4
     assert blas.thread_counts() == two_threads
 
 

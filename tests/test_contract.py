@@ -4,6 +4,8 @@ A property test of that contract over the column shapes that real
 cause-effect pairs show, the relations between them, sample sizes and
 ridges. For every method it also asserts no warning, mirrored scores when
 the pair is swapped, and the same outcome kind when the rows are permuted.
+Over the same shapes, a pair scored in one run after a dataset that holds
+its columns gets the outcome it gets alone, bit for bit.
 That permuted rows also give the same scores (within 1e-9 relative,
 absolute below 1) is a known failure, pinned as a strict xfail.
 """
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiim import Direction, Method, PairedDataset, RunConfig, infer_direction
-from kiim.errors import TRIAL_ERRORS
+from kiim.errors import TRIAL_ERRORS, attempt
+from kiim.scoring import score_datasets
 
 
 def _spike(rng, n):
@@ -108,6 +111,32 @@ def test_every_method_scores_finitely_or_raises_a_typed_error(cause, other, rela
         assert mirror is not None and shuffled is not None, method
         assert (mirror.score_xy, mirror.score_yx) == (decision.score_yx, decision.score_xy)
         assert mirror.direction is _FLIP[decision.direction]
+
+
+def _hex(outcome):
+    """A ``(decision, error)`` outcome as float hex scores and the direction,
+    or the error message."""
+    decision, error = outcome
+    if decision is None:
+        return error
+    return decision.score_xy.score.hex(), decision.score_yx.score.hex(), decision.direction
+
+
+@_SEARCH
+@_INPUTS
+def test_a_run_that_holds_the_pairs_columns_scores_it_as_alone(cause, other, relation, n,
+                                                               lam, seed):
+    """The pair follows a swapped copy of itself, which holds its columns bit
+    for bit in the other roles, so it reads the Grams and Rw-KIIM
+    coefficients that the copy cached: the cache keys an entry by a
+    column's bits, not by its role. The other methods never read it."""
+    dataset, _ = _pair(cause, other, relation, n, seed)
+    datasets = [PairedDataset(dataset.ys.copy(), dataset.xs.copy()), dataset]
+    methods, config = (Method.KIIM, Method.RW_KIIM), RunConfig(lam=lam)
+    together = score_datasets(datasets, methods, config)
+    alone = [attempt((infer_direction, ds, method, config))
+             for ds in datasets for method in methods]
+    assert list(map(_hex, together)) == list(map(_hex, alone))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

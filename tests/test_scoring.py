@@ -15,9 +15,9 @@ from kiim import (CausalDecision, Direction, Mechanism, MechanismSpec, Method, N
                   invariance_matrix, kiim_matrix, kiim_score,
                   median_heuristic, rank_ablation, rbf, standardize, sym_eig)
 from kiim import baselines, scoring
-from kiim.bench import _score_dataset
 from kiim.errors import TRIAL_ERRORS
-from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, direction_score, factor_score
+from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, direction_score, factor_score, \
+    score_datasets
 
 
 def _spectrum(vals):
@@ -122,7 +122,7 @@ def test_one_dataset_scored_by_every_method_holds_at_most_four_n_by_n_arrays(tra
     mechanism, noise = table1_grid()[0]
     ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=0))
     outcomes = []
-    peak = traced_peak(lambda: outcomes.extend(_score_dataset(ds, tuple(Method), RunConfig())))
+    peak = traced_peak(lambda: outcomes.extend(score_datasets((ds,), tuple(Method), RunConfig())))
     assert peak < 4 * n * n * 8 + 1e6
     assert [error for _, error in outcomes] == [None] * len(Method)
 
