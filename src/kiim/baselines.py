@@ -48,10 +48,9 @@ def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
     return float(norms.var())
 
 
-def kcdc_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> float:
+def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
     """Deviance of conditional embeddings of the effect given the cause,
     with ridge ``config.lam`` on the embedding solves."""
-    config = config or RunConfig()
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
     cause, effect = roles(direction)
@@ -116,13 +115,12 @@ def _doubly_centered(K: np.ndarray) -> np.ndarray:
     return center(out, out=out)
 
 
-def hsic(u, v, kernel: KernelSpec | None = None) -> float:
+def hsic(u, v, kernel: KernelSpec = rbf()) -> float:
     """Hilbert-Schmidt independence statistic (1/n^2) tr(K_u H K_v H).
 
     Biased V-statistic form, clamped at 0; near 0 when u and v are
     independent samples.
     """
-    kernel = kernel or rbf()
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if u.size != v.size:
@@ -137,14 +135,13 @@ def hsic(u, v, kernel: KernelSpec | None = None) -> float:
     return max(value, 0.0)
 
 
-def anm_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> float:
+def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
     """Dependence between cause and the residual of a kernel ridge fit.
 
     Fits effect = f(cause) by kernel ridge regression and returns
     hsic(cause, residual); an additive-noise pair fit in the causal
     direction leaves residuals nearly independent of the cause.
     """
-    config = config or RunConfig()
     if dataset.n < 10:
         raise ValueError("regression score needs at least 10 paired samples")
     x, y = (dataset.standardized(name) for name in roles(direction))

@@ -164,11 +164,10 @@ def _check_run(cells, methods, seed: int, n: int | None, trials: int = 1) -> tup
 
 
 def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0,
-                  config: RunConfig | None = None, jobs: int = 1) -> tuple[CellResult, ...]:
+                  config: RunConfig = RunConfig(), jobs: int = 1) -> tuple[CellResult, ...]:
     """Accuracy per (cell, method) over seeded independent trials; repeats are
     scored once, in first-seen order. One task per trial scores every cell
     with every method (``_synthetic_trial``)."""
-    config = config or RunConfig()
     cells, methods = _check_run(cells, methods, seed, n, trials)
     tasks = [(tuple(f"{mechanism.value}/{noise.value} seed {seed ^ t} {method.value}"
                     for mechanism, noise in cells for method in methods),
@@ -186,10 +185,9 @@ def run_synthetic(cells, methods, trials: int = 100, n: int = 100, seed: int = 0
 
 
 def run_ablation(cells, d_max: int, trials: int = 100, n: int = 100, seed: int = 0,
-                 config: RunConfig | None = None, jobs: int = 1) -> tuple[AblationCellResult, ...]:
+                 config: RunConfig = RunConfig(), jobs: int = 1) -> tuple[AblationCellResult, ...]:
     """Accuracy per (cell, fixed discard count d) for d = 0..d_max; a repeated
     cell is scored once, in first-seen order."""
-    config = config or RunConfig()
     cells, _ = _check_run(cells, (Method.KIIM,), seed, n, trials)
     if not 0 <= d_max < n:
         raise ValueError("d_max must lie in [0, n)")

@@ -226,10 +226,14 @@ def cmd_theory_check(args) -> int:
 
 
 def _add_config_flags(parser) -> None:
+    # Unset flags are None, so the config file's value stands; the help shows RunConfig()'s.
+    defaults = config_items(RunConfig())
     parser.add_argument("--lambda", dest="lam", metavar="VALUE",
-                        help="ridge for the conditional-embedding solves (default 1e-3)")
+                        help="ridge for the conditional-embedding solves "
+                             f"(default {defaults['lambda']})")
     parser.add_argument("--energy-threshold", dest="energy_threshold", metavar="FRACTION",
-                        help="spectral energy the retained tail must reach (default 0.9)")
+                        help="spectral energy the retained tail must reach "
+                             f"(default {defaults['energy_threshold']})")
     parser.add_argument("--kernel-x", dest="kernel_x", metavar="SPEC",
                         help="cause-role kernel, e.g. rbf:median or product(rbf:median,log,rq)")
     parser.add_argument("--kernel-y", dest="kernel_y", metavar="SPEC",
@@ -242,13 +246,13 @@ def _add_run_flags(parser, trials: bool) -> None:
     """--seed, --jobs and --out-dir; with ``trials``, also --trials and --n."""
     if trials:
         parser.add_argument("--trials", type=int, default=100,
-                            help="independent trials per cell (default 100)")
+                            help="independent trials per cell (default %(default)s)")
         parser.add_argument("--n", type=int, default=100,
-                            help="samples per trial (default 100)")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+                            help="samples per trial (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
-    parser.add_argument("--out-dir", default="runs", help="report directory (default runs)")
+                        help="worker processes (default %(default)s)")
+    parser.add_argument("--out-dir", default="runs", help="report directory (default %(default)s)")
 
 
 @functools.cache
@@ -269,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthetic", help="run the synthetic benchmark grid")
     p.add_argument("--cells", default="all",
-                   help="all or comma-separated MECH:NOISE cells (default all)")
+                   help="all or comma-separated MECH:NOISE cells (default %(default)s)")
     p.add_argument("--methods", default="kiim",
-                   help="comma-separated methods (default kiim)")
+                   help="comma-separated methods (default %(default)s)")
     _add_run_flags(p, trials=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_synthetic)
@@ -279,25 +283,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tcep", help="evaluate a cause-effect-pairs directory")
     p.add_argument("directory")
     p.add_argument("--methods", default="kiim",
-                   help="comma-separated methods (default kiim)")
+                   help="comma-separated methods (default %(default)s)")
     p.add_argument("--subsample-limit", type=int, default=1000,
-                   help="subsample pairs larger than this (default 1000; 0 disables)")
+                   help="subsample pairs larger than this (default %(default)s; 0 disables)")
     _add_run_flags(p, trials=False)
     _add_config_flags(p)
     p.set_defaults(func=cmd_tcep)
 
     p = sub.add_parser("ablation", help="accuracy for fixed discard counts d = 0..d_max")
     p.add_argument("--cells", default="ANM1:Gaussian,MNM2:Gaussian",
-                   help="grid cells (default ANM1:Gaussian,MNM2:Gaussian)")
-    p.add_argument("--d-max", type=int, default=5, help="largest discard count (default 5)")
+                   help="grid cells (default %(default)s)")
+    p.add_argument("--d-max", type=int, default=5,
+                   help="largest discard count (default %(default)s)")
     _add_run_flags(p, trials=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("theory-check", help="print the lemma verification statistics")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     p.add_argument("--draws", type=int, default=100,
-                   help="sample sets / coefficient draws (default 100)")
+                   help="sample sets / coefficient draws (default %(default)s)")
     p.set_defaults(func=cmd_theory_check)
     return parser
 

@@ -117,11 +117,12 @@ def kernel_to_text(spec: KernelSpec) -> str:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Read `key = value` lines; blank lines and # comments are skipped, and
-    a repeated key is an error."""
+    """Read `key = value` lines of UTF-8 text (a leading byte-order mark is
+    dropped); blank lines and # comments are skipped, and a repeated key is
+    an error."""
     mapping: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc

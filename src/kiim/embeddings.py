@@ -19,6 +19,7 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
+from .config import RunConfig
 from .errors import NumericalError
 from .kernels import center
 
@@ -76,7 +77,7 @@ def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:
     return _Factorization(np.add(K, 0.0, order="F", dtype=float), shift)
 
 
-def reweighting_vector(xs, clip_quantile: float = 0.95) -> np.ndarray:
+def reweighting_vector(xs, clip_quantile: float = RunConfig.rw_clip_quantile) -> np.ndarray:
     """Positive importance weights r_i = u(x_i) / p_hat(x_i) toward a uniform
     reference u on the sample range.
 

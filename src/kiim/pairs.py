@@ -80,10 +80,11 @@ def standardize(values) -> np.ndarray:
 
 
 def _read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 text file; a file that cannot be read or decoded
-    is an ingestion error naming ``what`` and the file."""
+    """The lines of a UTF-8 text file, without a leading byte-order mark; a
+    file that cannot be read or decoded is an ingestion error naming ``what``
+    and the file."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {what}: {exc}", path=str(path)) from exc
 

@@ -141,7 +141,8 @@ def sym_eig(M) -> Spectrum:
                     min_raw=float(raw.min()) if raw.size else 0.0)
 
 
-def energy_rank_score(spectrum: Spectrum, energy_threshold: float = 0.9) -> DirectionScore:
+def energy_rank_score(spectrum: Spectrum,
+                      energy_threshold: float = RunConfig.energy_threshold) -> DirectionScore:
     """Average of the bottom eigenvalues holding >= the threshold energy.
 
     With eigenvalues pi_1 >= ... >= pi_n, the retained tail starts at the
@@ -174,7 +175,8 @@ def fixed_discard_score(spectrum: Spectrum, discard: int) -> DirectionScore:
                           discarded_top=discard)
 
 
-def factor_score(B: np.ndarray, energy_threshold: float = 0.9) -> DirectionScore:
+def factor_score(B: np.ndarray,
+                 energy_threshold: float = RunConfig.energy_threshold) -> DirectionScore:
     """``energy_rank_score(sym_eig(B.T @ B), energy_threshold)``, read from B.
 
     Three power steps on B^T B from the largest row of B give a Rayleigh
@@ -240,15 +242,10 @@ def invariance_matrix(dataset: PairedDataset, direction, config: RunConfig,
     return B.T @ B
 
 
-def kiim_score(dataset: PairedDataset, direction, config: RunConfig | None = None) -> DirectionScore:
+def kiim_score(dataset: PairedDataset, direction,
+               config: RunConfig = RunConfig()) -> DirectionScore:
     """Invariance score of one direction (plain conditional embeddings)."""
-    return direction_score(dataset, direction, Method.KIIM, config or RunConfig())
-
-
-def direction_score(dataset: PairedDataset, direction, method,
-                    config: RunConfig) -> DirectionScore:
-    """One direction's score under any method, wrapped uniformly."""
-    return _direction_score(dataset, direction, Method(method), config, {}, ())
+    return _direction_score(dataset, direction, Method.KIIM, config, {}, ())
 
 
 def _direction_score(dataset, direction, method: Method, config, cache, keep) -> DirectionScore:
@@ -283,13 +280,13 @@ def _decision(dataset, method: Method, config, cache, keep=()) -> CausalDecision
 
 
 def infer_direction(dataset: PairedDataset, method,
-                    config: RunConfig | None = None) -> CausalDecision:
+                    config: RunConfig = RunConfig()) -> CausalDecision:
     """Score both directions with identical settings and compare.
 
     Smaller score wins; ties within the tolerance are Undecided (see ``_decide``).
     Both directions run on one BLAS thread (``blas.one_thread``) and share Grams.
     """
-    return _decision(dataset, Method(method), config or RunConfig(), {})
+    return _decision(dataset, Method(method), config, {})
 
 
 def score_datasets(datasets, methods, config: RunConfig) -> tuple:
@@ -322,7 +319,7 @@ def score_datasets(datasets, methods, config: RunConfig) -> tuple:
 
 
 def rank_ablation(dataset: PairedDataset, d_max: int,
-                  config: RunConfig | None = None) -> tuple[CausalDecision, ...]:
+                  config: RunConfig = RunConfig()) -> tuple[CausalDecision, ...]:
     """KIIM decisions for every fixed discard count d = 0..d_max; point d
     has ``discarded_top == d`` in both of its scores.
 
@@ -330,7 +327,6 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
     (``blas.one_thread``); each d then slices the sorted eigenvalues
     directly, bypassing the energy rule.
     """
-    config = config or RunConfig()
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
     cache, spectra = {}, []

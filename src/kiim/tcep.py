@@ -133,7 +133,7 @@ def load_tcep(directory) -> tuple[TcepPair, ...]:
     return tuple(pairs)
 
 
-def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0,
+def evaluate_tcep(pairs, methods, config: RunConfig = RunConfig(), seed: int = 0,
                   subsample_limit: int = 1000, jobs: int = 1) -> TcepReport:
     """Score every usable pair with every method and tally accuracies.
 
@@ -144,7 +144,6 @@ def evaluate_tcep(pairs, methods, config: RunConfig | None = None, seed: int = 0
     incorrect; the weighted accuracy uses the metadata weights. A repeated
     method is scored once, in first-seen order.
     """
-    config = config or RunConfig()
     pairs = tuple(pairs)
     if subsample_limit < 0:
         raise ValueError("subsample limit must be nonnegative (0 disables subsampling)")

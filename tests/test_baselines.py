@@ -10,7 +10,6 @@ from kiim import (ConfigurationError, Direction, IgciReference, Mechanism,
                   build_config, generate, gram, hsic, igci_score, infer_direction,
                   kcdc_deviance, kcdc_score, rbf, run_synthetic, spacing_entropy)
 from kiim.baselines import roles
-from kiim.scoring import direction_score
 
 
 def _cell_accuracy(results):
@@ -71,8 +70,8 @@ def test_kcdc_ridge_is_the_run_lambda():
     # One ridge for every method: a RunConfig built in code and one parsed
     # from settings must give KCDC the same lambda.
     ds = generate(MechanismSpec(mechanism=Mechanism.ANM1, noise=Noise.GAUSSIAN, n=60, seed=0))
-    direct = direction_score(ds, Direction.X_TO_Y, Method.KCDC, RunConfig(lam=0.5))
-    parsed = direction_score(ds, Direction.X_TO_Y, Method.KCDC, build_config({"lambda": "0.5"}))
+    direct = infer_direction(ds, Method.KCDC, RunConfig(lam=0.5)).score_xy
+    parsed = infer_direction(ds, Method.KCDC, build_config({"lambda": "0.5"})).score_xy
     assert direct.score == parsed.score
     assert direct.score == kcdc_score(ds, Direction.X_TO_Y, RunConfig(lam=0.5))
     assert direct.score != kcdc_score(ds, Direction.X_TO_Y)

@@ -14,7 +14,8 @@ import pytest
 from kiim import CausalDecision, Direction, DirectionScore, Mechanism, MechanismSpec, Method, \
     Noise, PairedDataset, RunConfig, build_config, config_digest, default_composite, generate, \
     write_pair_text
-from kiim.cli import main, parse_method
+from kiim.cli import build_parser, main, parse_method
+from kiim.config import _KEYS, config_items
 from kiim.report import SCHEMA_VERSION, format_value
 
 
@@ -349,6 +350,27 @@ def test_theory_check_prints_statistics(capsys):
     assert "5 sample sets" in stdout
     assert "5 draws" in stdout
     assert "tangent" in stdout
+
+
+@pytest.mark.parametrize("command", ["infer", "synthetic", "tcep", "ablation", "theory-check"])
+def test_help_shows_every_flag_default(command, capsys):
+    """``--help`` renders with exit 0, so no help string holds a stray ``%``,
+    and it shows each flag's default: argparse's own, or for a config flag
+    the text of ``RunConfig()``'s value."""
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # joins wrapped help lines
+    positionals = {"infer": ["pair.txt"], "tcep": ["pairs"]}.get(command, [])
+    args = vars(build_parser().parse_args([command, *positionals]))
+    items = config_items(RunConfig())
+    config_defaults = {name: items[key] for key, (name, _, _) in _KEYS.items()}
+    for name, value in args.items():
+        if name in ("command", "func", "pair_file", "directory"):
+            continue
+        value = config_defaults.get(name) if value is None else value
+        if value is not None:
+            assert str(value) in text, name
 
 
 def test_repeated_main_calls_share_no_state(pair_file, capsys):

@@ -10,7 +10,7 @@ from kiim import ConfigurationError, RunConfig, \
     build_config, config_digest, default_composite, kernel_sum, kernel_to_text, \
     log_kernel, parse_kernel, polynomial, product, rational_quadratic, rbf, \
     read_config_file, serialize_config
-from kiim.config import config_items
+from kiim.config import _KEYS, config_items
 
 
 GRAMMAR_CASES = [
@@ -72,6 +72,12 @@ def test_read_config_file(tmp_path):
         "kernel.x": "rbf:2.0",
         "composite_mode": "sum",
     }
+
+
+def test_read_config_file_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbflambda = 0.01\n")
+    assert read_config_file(path) == {"lambda": "0.01"}
 
 
 def test_read_config_file_reports_bad_line(tmp_path):
@@ -200,11 +206,28 @@ def test_config_items_cover_every_field():
     assert build_config(items) == config
 
 
-def test_formats_doc_lists_every_config_key():
+def _config_files_section() -> str:
     doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
-    section = doc.split("## Config files", 1)[1].split("\n#", 1)[0]
-    keys = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
+    return doc.split("## Config files", 1)[1].split("\n#", 1)[0]
+
+
+def test_formats_doc_lists_every_config_key():
+    keys = re.findall(r"^\| `([^`]+)`", _config_files_section(), flags=re.MULTILINE)
     assert sorted(keys) == sorted(config_items(RunConfig()))
+
+
+def test_formats_doc_defaults_match_run_config():
+    """The default column of the config table reads ``config_items(RunConfig())``:
+    numbers compared as numbers (``1e-3`` is ``0.001``), kernels as text."""
+    rows = dict(re.findall(r"^\| `([^`]+)` .*\| `([^`]+)` *\|$", _config_files_section(),
+                           flags=re.MULTILINE))
+    defaults = config_items(RunConfig())
+    assert sorted(rows) == sorted(defaults)
+    for key, text in rows.items():
+        if _KEYS[key][1] is float:
+            assert float(text) == float(defaults[key]), key
+        else:
+            assert text == defaults[key], key
 
 
 def test_read_config_file_undecodable_bytes_name_the_file(tmp_path):

@@ -145,8 +145,10 @@ def test_permuted_rows_give_the_same_scores():
     """Scores agree within 1e-9 relative (absolute below 1) when the rows are
     permuted. Known to fail: standardizing sums in row order, so a
     permutation moves the standardized columns by an ulp, and an
-    ill-conditioned system or a near-tied spacing magnifies that. Over the
-    same 30 inputs as the test above, 12 scores of KIIM, Rw-KIIM, KCDC and
+    ill-conditioned system or a near-tied spacing magnifies that. The nested
+    search draws 30 inputs of its own from the same strategies as the test
+    above (hypothesis derandomizes each search by a digest of its source, so
+    the two draws differ). In them, 12 scores of KIIM, Rw-KIIM, KCDC and
     IGCIGauss moved: by up to 1.9e-7 relative for the kernel methods, and by
     1.4e-4 for IGCIGauss on a near-constant column. The search collects
     every score that moved, so that the failure lists them all."""

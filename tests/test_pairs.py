@@ -165,6 +165,12 @@ def test_load_pair_dataset_needs_two_columns(tmp_path):
         load_pair_dataset(path)
 
 
+def test_read_pair_file_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_bytes(b"\xef\xbb\xbf1 2\n3 4\n")
+    np.testing.assert_array_equal(read_pair_file(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_read_pair_file_undecodable_bytes_name_the_file(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_bytes(b"1 2\n\xff 4\n")

@@ -7,11 +7,16 @@ Its own tests (``python3 -m pytest perfbench``) take far longer.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Decisions of one grid-pool call: 10 cells x 6 methods x 8 trials, sent as
+#: one pool of 8 trial tasks when the run has more than one CPU.
+CALL_DECISIONS, CALL_TASKS = 480, 8
 
 
 def test_traced_grid_pool_run_is_correct_with_finite_metrics():
@@ -24,5 +29,10 @@ def test_traced_grid_pool_run_is_correct_with_finite_metrics():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]
-    assert {name: metric["value"] for name, metric in result["metrics"].items()
-            if not math.isfinite(metric["value"])} == {}
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    assert {name: value for name, value in values.items() if not math.isfinite(value)} == {}
+    calls, rest = divmod(values["trace.window_decisions"], CALL_DECISIONS)
+    assert calls >= 1 and rest == 0
+    pooled = len(os.sched_getaffinity(0)) > 1
+    assert values["bench.pools_opened"] == (calls if pooled else 0)
+    assert values["bench.tasks"] == (calls * CALL_TASKS if pooled else 0)

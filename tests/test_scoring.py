@@ -16,8 +16,7 @@ from kiim import (CausalDecision, Direction, Mechanism, MechanismSpec, Method, N
                   median_heuristic, rank_ablation, rbf, standardize, sym_eig)
 from kiim import baselines, scoring
 from kiim.errors import TRIAL_ERRORS
-from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, direction_score, factor_score, \
-    score_datasets
+from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, factor_score, score_datasets
 
 
 def _spectrum(vals):
@@ -272,6 +271,12 @@ def _spectrum_path(ds, method, config):
             for direction in _DIRECTIONS]
 
 
+def _both_scores(ds, method, config):
+    """The two directional scores of one decision, in ``_DIRECTIONS`` order."""
+    decision = infer_direction(ds, method, config)
+    return [decision.score_xy, decision.score_yx]
+
+
 def _assert_same_rank_and_score(got, want):
     assert got.discarded_top == want.discarded_top
     assert got.retained_count == want.retained_count
@@ -298,7 +303,7 @@ def test_certified_score_matches_spectrum_path_on_grid(method, monkeypatch):
             ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=100, seed=seed))
             want = _spectrum_path(ds, method, config)
             eig_calls = _counting(monkeypatch, "sym_eig")
-            got = [direction_score(ds, direction, method, config) for direction in _DIRECTIONS]
+            got = _both_scores(ds, method, config)
             monkeypatch.undo()
             assert eig_calls == []  # the certificate held: no spectrum was computed
             for g, w in zip(got, want):
@@ -362,7 +367,7 @@ def test_lower_energy_threshold_still_matches_spectrum_path(method):
     for mechanism, noise in table1_grid():
         ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=60, seed=1))
         want = _spectrum_path(ds, method, config)
-        got = [direction_score(ds, direction, method, config) for direction in _DIRECTIONS]
+        got = _both_scores(ds, method, config)
         for g, w in zip(got, want):
             _assert_same_rank_and_score(g, w)
 
@@ -477,10 +482,10 @@ def test_direction_score_minimum_sample_size(method):
     n = MIN_SAMPLES[method]
     rng = np.random.default_rng(21)
     ds = PairedDataset(rng.standard_normal(n), rng.standard_normal(n))
-    assert np.isfinite(direction_score(ds, Direction.X_TO_Y, method, RunConfig()).score)
+    assert np.isfinite(infer_direction(ds, method, RunConfig()).score_xy.score)
     smaller = PairedDataset(ds.xs[:-1], ds.ys[:-1])
     with pytest.raises(ValueError):
-        direction_score(smaller, Direction.X_TO_Y, method, RunConfig())
+        infer_direction(smaller, method, RunConfig())
 
 
 # Derandomized with no example database: every run searches the same inputs.
@@ -492,10 +497,9 @@ _SHIFTS = st.floats(-100.0, 100.0)
 
 
 def _assert_same_scores(ds, other, method):
-    for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
-        a = direction_score(ds, direction, method, RunConfig()).score
-        b = direction_score(other, direction, method, RunConfig()).score
-        assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+    config = RunConfig()
+    for a, b in zip(_both_scores(ds, method, config), _both_scores(other, method, config)):
+        assert abs(a.score - b.score) <= 1e-9 * max(abs(a.score), 1.0)
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
@@ -559,17 +563,17 @@ def test_invariance_matrix_psd_property():
 def test_rw_kiim_score_runs_and_differs():
     ds = _random_dataset(7, n=40)
     plain = kiim_score(ds, Direction.X_TO_Y).score
-    rw = direction_score(ds, Direction.X_TO_Y, Method.RW_KIIM, RunConfig()).score
+    rw = infer_direction(ds, Method.RW_KIIM, RunConfig()).score_xy.score
     assert rw >= 0.0
     assert rw != plain
 
 
 def test_direction_score_wraps_baselines_without_rank_fields():
     ds = _random_dataset(8, n=30)
-    score = direction_score(ds, Direction.X_TO_Y, Method.KCDC, RunConfig())
+    score = infer_direction(ds, Method.KCDC, RunConfig()).score_xy
     assert score.retained_count is None
     assert score.retained_energy_ratio is None
-    score = direction_score(ds, Direction.X_TO_Y, Method.KIIM, RunConfig())
+    score = infer_direction(ds, Method.KIIM, RunConfig()).score_xy
     assert score.retained_count is not None
 
 
