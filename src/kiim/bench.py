@@ -124,6 +124,12 @@ def run_trials(tasks, jobs: int) -> list[tuple]:
     calls = [task[1:] for task in tasks]
     workers = min(jobs, len(calls))
     if workers > 1:
+        # numpy imports these on first use: numpy.random for the draws and
+        # numpy.ma inside np.quantile (Rw-KIIM's weight clip). Imported once
+        # here, every forked worker inherits them instead of importing them
+        # again at each pool.
+        import numpy.ma
+        import numpy.random
         chunksize = max(1, min(4, len(calls) // (4 * workers)))
         with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(attempt, calls, chunksize=chunksize))

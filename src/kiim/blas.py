@@ -1,4 +1,9 @@
-"""Every score runs on one BLAS thread.
+"""kiim's binding to LAPACK, and every score on one BLAS thread.
+
+``lapack`` is scipy's compiled LAPACK module, loaded from its file without
+importing the ``scipy.linalg`` package, whose ``__init__`` (through scipy's
+``array_api_compat``) imports every lazy numpy submodule, ``numpy.f2py`` and
+``numpy.testing`` included, and so doubles the start of a command.
 
 numpy and scipy each load their own OpenBLAS (numpy's ``libscipy_openblas64_``
 and scipy's ``libscipy_openblas``), and both start one thread per core. Up
@@ -17,12 +22,12 @@ or symbol is not found, nothing is changed for it. The count is
 process-wide, so scores should not run concurrently from several threads of
 one process. Two measured hazards make that a rule for the solves as well:
 
-* ``scipy.linalg.lapack.dgetrs`` shifts the caller's pivot array to 1-based
-  indices in place for the length of the call. Two threads that solve with
-  one shared ``(lu, piv)``, even into separate outputs, got values off by
-  1.4 to 1.7 times the largest entry at n = 100, 300 and 1000 on one
-  OpenBLAS thread (and by up to 460 times on two); with a private pivot
-  copy per thread the results were exact.
+* ``lapack.dgetrs`` shifts the caller's pivot array to 1-based indices in
+  place for the length of the call. Two threads that solve with one shared
+  ``(lu, piv)``, even into separate outputs, got values off by 1.4 to 1.7
+  times the largest entry at n = 100, 300 and 1000 on one OpenBLAS thread
+  (and by up to 460 times on two); with a private pivot copy per thread the
+  results were exact.
 * A solve split by column blocks is not always one call bit for bit: a
   split matched at n <= 512 and at n = 1000, but at n = 700, 777 and 999
   only a split at column 384 did.
@@ -39,12 +44,42 @@ on it without calling a setter.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy
-import scipy.linalg  # loads scipy's OpenBLAS before the lookup below
+
+_SCIPY_DIR = Path(importlib.util.find_spec("scipy").origin).parent
+
+
+def _load_lapack(linalg_dir: Path):
+    """scipy's compiled LAPACK module, loaded from its file in ``linalg_dir``,
+    or ``scipy.linalg.lapack`` where no ``_flapack`` file exists.
+
+    The routines are the very objects ``scipy.linalg.lapack`` re-exports,
+    whichever of the two a process loads first: CPython initializes a
+    single-phase extension module like this one once per file and name, and
+    later loads reuse it.
+    """
+    name = "scipy.linalg._flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg_dir / f"_flapack{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader, origin=str(path)))
+            loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+# Also loads scipy's OpenBLAS, which _flapack links, before the lookup below.
+lapack = _load_lapack(_SCIPY_DIR / "linalg")
+
 
 def _find_controls():
     """(get, set) thread-count functions of each loaded OpenBLAS copy."""
@@ -52,8 +87,8 @@ def _find_controls():
     if noload is None:
         return ()
     controls = []
-    for package, suffix in ((numpy, "64_"), (scipy, "")):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    for package_dir, suffix in ((Path(numpy.__file__).parent, "64_"), (_SCIPY_DIR, "")):
+        libs = package_dir.parent / f"{package_dir.name}.libs"
         for path in sorted(libs.glob("libscipy_openblas*.so")):
             try:
                 lib = ctypes.CDLL(str(path), mode=noload)

@@ -235,9 +235,10 @@ def _add_config_flags(parser) -> None:
                         help="spectral energy the retained tail must reach "
                              f"(default {defaults['energy_threshold']})")
     parser.add_argument("--kernel-x", dest="kernel_x", metavar="SPEC",
-                        help="cause-role kernel, e.g. rbf:median or product(rbf:median,log,rq)")
+                        help="cause-role kernel, e.g. rbf:median "
+                             f"(default {defaults['kernel.x']})")
     parser.add_argument("--kernel-y", dest="kernel_y", metavar="SPEC",
-                        help="effect-role kernel")
+                        help=f"effect-role kernel (default {defaults['kernel.y']})")
     parser.add_argument("--config", metavar="FILE",
                         help="key = value settings file; flags override it")
 
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="score one two-column pair file")
     p.add_argument("pair_file")
     p.add_argument("--method", default="kiim",
-                   help="kiim, rw-kiim, kcdc, igci-gauss, igci-uniform, or anm")
+                   help="kiim, rw-kiim, kcdc, igci-gauss, igci-uniform, or anm "
+                        "(default %(default)s)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_infer)
 
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="kiim",
                    help="comma-separated methods (default %(default)s)")
     p.add_argument("--subsample-limit", type=int, default=1000,
-                   help="subsample pairs larger than this (default %(default)s; 0 disables)")
+                   help="subsample pairs larger than this, 0 disables (default %(default)s)")
     _add_run_flags(p, trials=False)
     _add_config_flags(p)
     p.set_defaults(func=cmd_tcep)

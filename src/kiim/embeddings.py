@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
+from .blas import lapack
 from .config import RunConfig
 from .errors import NumericalError
 from .kernels import center

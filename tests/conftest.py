@@ -1,6 +1,9 @@
 import tracemalloc
+from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from kiim import blas
 from tcep_fixture import build_fixture
@@ -10,6 +13,15 @@ from tcep_fixture import build_fixture
 def tcep_dir(tmp_path_factory):
     """Benchmark-format directory with 108 pairs and the ten exclusions."""
     return build_fixture(tmp_path_factory.mktemp("tcep"))
+
+
+@pytest.fixture
+def both_wheel_openblas():
+    """True when numpy and scipy each ship the wheel's OpenBLAS copy, so
+    ``kiim.blas`` should find two thread controls."""
+    wheel_libs = [Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+                  for package in (numpy, scipy)]
+    return all(any(libs.glob("libscipy_openblas*.so")) for libs in wheel_libs)
 
 
 @pytest.fixture(autouse=True)

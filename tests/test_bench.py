@@ -3,7 +3,12 @@
 import functools
 import logging
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,10 +92,32 @@ def test_ablation_parallel_run_matches_serial():
     assert serial == parallel
 
 
+def test_forked_workers_inherit_the_numpy_modules_a_trial_imports():
+    # The test process has numpy.ma and numpy.random already, so only a fresh
+    # interpreter shows whether each worker would import them again.
+    probe = textwrap.dedent("""
+        import multiprocessing, sys
+        from kiim.bench import run_trials
+
+        def loaded():
+            return ([name for name in ("numpy.ma", "numpy.random") if name in sys.modules], None),
+
+        print(multiprocessing.get_start_method())
+        print(run_trials([(("a",), loaded), (("b",), loaded)], jobs=2))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    method, outcomes = result.stdout.splitlines()
+    if method != "fork":
+        pytest.skip(f"workers start by {method}, not fork")
+    assert outcomes == str([((["numpy.ma", "numpy.random"], None),)] * 2)
+
+
 def test_pooled_run_under_spawn_matches_serial(monkeypatch):
     methods = [Method.KIIM, Method.IGCI_UNIFORM]
     serial = run_synthetic(CELLS, methods, trials=2, n=30, seed=3, jobs=1)
-    # Each spawned worker starts fresh and imports numpy and scipy itself.
+    # Each spawned worker starts fresh: it imports numpy and loads scipy's LAPACK itself.
     opened = _spy_pools(monkeypatch, mp_context=multiprocessing.get_context("spawn"))
     assert run_synthetic(CELLS, methods, trials=2, n=30, seed=3, jobs=2) == serial
     assert opened == [2]

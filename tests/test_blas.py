@@ -1,5 +1,6 @@
 """The BLAS thread rule: every score runs on one thread, and the counts the
-process had are restored after, so a score does not depend on them."""
+process had are restored after, so a score does not depend on them. Also the
+LAPACK module kiim calls, and its fallback."""
 
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+import scipy.linalg.lapack
 
 from kiim import PairedDataset, blas, infer_direction, rank_ablation, scoring
 from kiim.bench import run_trials
@@ -66,12 +67,16 @@ def _dataset(n):
     return PairedDataset(xs, np.tanh(xs) + 0.3 * rng.standard_normal(n))
 
 
-def test_finds_both_wheel_openblas_copies():
-    wheel_libs = [Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-                  for package in (np, scipy)]
-    if not all(any(libs.glob("libscipy_openblas*.so")) for libs in wheel_libs):
+def test_finds_both_wheel_openblas_copies(both_wheel_openblas):
+    if not both_wheel_openblas:
         pytest.skip("numpy or scipy does not ship the wheel's OpenBLAS")
     assert len(blas.thread_counts()) == 2
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_a_flapack_file(tmp_path):
+    lapack = blas._load_lapack(tmp_path)
+    for name in ("dlange", "dpotrf", "dpocon", "dgetrf", "dgecon", "dpotrs", "dgetrs"):
+        assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
 
 
 @needs_blas

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
@@ -355,8 +356,8 @@ def test_theory_check_prints_statistics(capsys):
 @pytest.mark.parametrize("command", ["infer", "synthetic", "tcep", "ablation", "theory-check"])
 def test_help_shows_every_flag_default(command, capsys):
     """``--help`` renders with exit 0, so no help string holds a stray ``%``,
-    and it shows each flag's default: argparse's own, or for a config flag
-    the text of ``RunConfig()``'s value."""
+    and it shows each flag's default as ``(default <value>)``: argparse's
+    own, or for a config flag the text of ``RunConfig()``'s value."""
     with pytest.raises(SystemExit) as stop:
         main([command, "--help"])
     assert stop.value.code == 0
@@ -370,7 +371,7 @@ def test_help_shows_every_flag_default(command, capsys):
             continue
         value = config_defaults.get(name) if value is None else value
         if value is not None:
-            assert str(value) in text, name
+            assert f"(default {value})" in text, name
 
 
 def test_repeated_main_calls_share_no_state(pair_file, capsys):
@@ -407,11 +408,32 @@ def test_main_builds_its_parser_once(pair_file, monkeypatch, capsys):
     assert built == []
 
 
-def test_importing_the_cli_loads_no_scipy_special():
-    # scipy.linalg is kiim's only scipy import; scipy.special would add
-    # about 3.6 MB to every run's resident set
+def test_a_fresh_cli_run_loads_lapack_without_the_scipy_linalg_package(pair_file,
+                                                                     both_wheel_openblas):
+    # The test process imports scipy.linalg itself, so only a fresh
+    # interpreter shows what a command loads. scipy.linalg's __init__ would
+    # pull in numpy.f2py and numpy.testing, and scipy.special would add about
+    # 3.6 MB to every run's resident set.
+    probe = textwrap.dedent("""
+        import json, sys
+        import kiim.cli
+        from kiim import blas
+        code = kiim.cli.main(["infer", sys.argv[1]])
+        loaded = [name for name in ("scipy.linalg", "numpy.f2py", "numpy.testing",
+                                    "scipy.special") if name in sys.modules]
+        import scipy.linalg.lapack
+        same = [name for name in sys.argv[2:]
+                if getattr(scipy.linalg.lapack, name) is getattr(blas.lapack, name)]
+        print(json.dumps([code, loaded, same, len(blas.thread_counts())]))
+    """)
+    routines = ["dlange", "dpotrf", "dpocon", "dgetrf", "dgecon", "dpotrs", "dgetrs"]
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, kiim.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", probe, str(pair_file), *routines],
+                            capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout.strip() == "False"
+    code, loaded, same, controls = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+    assert same == routines
+    if both_wheel_openblas:
+        assert controls == 2
