@@ -34,6 +34,31 @@ def roles(direction) -> tuple[str, str]:
     raise ValueError("direction must be XtoY or YtoX")
 
 
+def _shared(cache: dict, keep, key: tuple, build):
+    """``cache[key]``, else ``build()``. ``key[1]`` holds the raw bytes of
+    the column the value was built from, and the value is stored only when
+    ``keep`` holds those bytes, so it serves just a later dataset with that
+    column bit for bit. With ``keep`` empty nothing is stored."""
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if key[1] in keep:
+            cache[key] = value
+    return value
+
+
+def _kcdc_coeffs(Kx: np.ndarray, lam: float) -> np.ndarray:
+    """KCDC's cause part: A = (K_x + lam I)^{-1} K_x, column i holding a_i."""
+    return ridge_factorization(Kx, lam).solve(Kx)
+
+
+def _kcdc_spread(A: np.ndarray, Ky: np.ndarray) -> float:
+    """KCDC's rest: the population variance of sqrt(max(0, a_i^T K_y a_i))."""
+    sq = np.einsum("ij,ij->j", Ky @ A, A)
+    norms = np.sqrt(np.maximum(sq, 0.0))
+    return float(norms.var())
+
+
 def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
     """Population variance of the conditional-embedding norms.
 
@@ -42,21 +67,31 @@ def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
     """
     if Kx.shape != Ky.shape:
         raise ValueError("Gram matrices must have matching dimensions")
-    A = ridge_factorization(Kx, lam).solve(Kx)
-    sq = np.einsum("ij,ij->j", Ky @ A, A)
-    norms = np.sqrt(np.maximum(sq, 0.0))
-    return float(norms.var())
+    return _kcdc_spread(_kcdc_coeffs(Kx, lam), Ky)
 
 
 def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
     """Deviance of conditional embeddings of the effect given the cause,
     with ridge ``config.lam`` on the embedding solves."""
+    return _kcdc_score(dataset, direction, config, {}, ())
+
+
+def _kcdc_score(dataset: PairedDataset, direction, config: RunConfig, cache: dict,
+                keep) -> float:
+    """``kcdc_score``, reading from ``cache`` the cause's A, under
+    ``("coeffs", column bytes)``, and the effect's Gram, under (output
+    kernel, column bytes), or storing them there by the ``keep`` rule of
+    ``_shared``. The cause's Gram and factor are freed before the effect's
+    Gram is built."""
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
     cause, effect = roles(direction)
-    Kx = gram(config.kcdc_input_kernel, dataset.standardized(cause))
-    Ky = gram(config.kcdc_output_kernel, dataset.standardized(effect))
-    return kcdc_deviance(Kx, Ky, config.lam)
+    x, y = dataset.standardized(cause), dataset.standardized(effect)
+    A = _shared(cache, keep, ("coeffs", getattr(dataset, cause).tobytes()),
+                lambda: _kcdc_coeffs(gram(config.kcdc_input_kernel, x), config.lam))
+    Ky = _shared(cache, keep, (config.kcdc_output_kernel, getattr(dataset, effect).tobytes()),
+                 lambda: gram(config.kcdc_output_kernel, y))
+    return _kcdc_spread(A, Ky)
 
 
 def spacing_entropy(values) -> float:
@@ -135,6 +170,12 @@ def hsic(u, v, kernel: KernelSpec = rbf()) -> float:
     return max(value, 0.0)
 
 
+def _anm_fit(x: np.ndarray, config: RunConfig) -> tuple:
+    """ANM's cause part: the cause's Gram K and the factor of K + ridge I."""
+    K = gram(config.anm_kernel, x)
+    return K, ridge_factorization(K, config.anm_ridge)
+
+
 def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
     """Dependence between cause and the residual of a kernel ridge fit.
 
@@ -142,12 +183,22 @@ def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()
     hsic(cause, residual); an additive-noise pair fit in the causal
     direction leaves residuals nearly independent of the cause.
     """
+    return _anm_score(dataset, direction, config, {}, ())
+
+
+def _anm_score(dataset: PairedDataset, direction, config: RunConfig, cache: dict,
+               keep) -> float:
+    """``anm_score``, reading the cause's (Gram, factor) pair from ``cache``
+    or storing it there under (kernel, column bytes) by the ``keep`` rule of
+    ``_shared``."""
     if dataset.n < 10:
         raise ValueError("regression score needs at least 10 paired samples")
-    x, y = (dataset.standardized(name) for name in roles(direction))
-    K = gram(config.anm_kernel, x)
-    residual = y - K @ ridge_factorization(K, config.anm_ridge).solve(y)
-    del K  # freed before hsic builds its two Grams
+    cause, effect = roles(direction)
+    x, y = dataset.standardized(cause), dataset.standardized(effect)
+    K, factor = _shared(cache, keep, (config.anm_kernel, getattr(dataset, cause).tobytes()),
+                        lambda: _anm_fit(x, config))
+    residual = y - K @ factor.solve(y)
+    del K, factor  # unless cached, freed before hsic builds its two Grams
     # Fixed unit bandwidth: the median heuristic would rescale the residuals
     # and hide how small they are, so the score would not vanish for a near
     # perfect fit. Unit bandwidth matches the median one on the standardized

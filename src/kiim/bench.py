@@ -4,13 +4,14 @@ Each (mechanism, noise) cell runs ``trials`` independent datasets; trial
 t uses seed ``base_seed XOR t`` so cells share draws and reruns are
 reproducible. One pool task is one trial: it draws every requested cell's
 dataset and scores them together with every requested method
-(``kiim.scoring.score_datasets``), so work on the cause column that the
-cells share is done once per trial. A method's trial is correct when the
-inferred direction is XtoY, the generator's causal direction; Undecided and
-failures (captured by ``kiim.errors.attempt``) count as incorrect, and
-failures are also logged and tallied. A failed draw counts against every
-method of its cell, and a failure of the whole task against every (cell,
-method).
+(``kiim.scoring.score_datasets``), so each kernel method does its work on
+the cause column that the cells share once per trial: the Gram for KIIM and
+Rw-KIIM, Rw-KIIM's coefficients, KCDC's coefficients and output Gram, and
+ANM's Gram and ridge factor. A method's trial is correct when the inferred
+direction is XtoY, the generator's causal direction; Undecided and failures
+(captured by ``kiim.errors.attempt``) count as incorrect, and failures are
+also logged and tallied. A failed draw counts against every method of its
+cell, and a failure of the whole task against every (cell, method).
 """
 
 from __future__ import annotations

@@ -25,10 +25,14 @@ from .kernels import center
 
 
 class _Factorization:
-    """Factorization of (matrix + shift I), for one solve.
+    """Factorization of (matrix + shift I).
 
-    Every kiim factor is solved exactly once: against n right-hand sides
-    (KIIM, Rw-KIIM, KCDC) or against one (ANM). Callers make the factor
+    KIIM, Rw-KIIM and KCDC solve a factor once, against n right-hand sides.
+    ANM solves one against one right-hand side; a synthetic trial keeps the
+    ANM factor of its shared cause and solves it once per dataset
+    (``scoring.score_datasets``). Those solves run one dataset at a time on
+    one thread, never concurrently: ``dgetrs`` shifts the pivot array in
+    place while it runs (see ``kiim.blas``). Callers make the factor
     before they copy the right-hand side: the transient Cholesky copy below
     and that right-hand side are then never live together, which keeps a
     decision within four n x n arrays.
@@ -72,7 +76,7 @@ class _Factorization:
 
 
 def ridge_factorization(K: np.ndarray, shift: float) -> _Factorization:
-    """Factor (K + shift I) once, for one solve against all right-hand sides."""
+    """Factor (K + shift I) once, for its solves (see ``_Factorization``)."""
     # K + 0.0 is the private copy, bit for bit the off-diagonal of K + shift I.
     return _Factorization(np.add(K, 0.0, order="F", dtype=float), shift)
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .baselines import anm_score, igci_score, kcdc_score, IgciReference, roles
+from .baselines import _anm_score, _kcdc_score, _shared, igci_score, IgciReference, roles
 from .blas import one_thread
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
@@ -211,7 +211,8 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
     column bytes) to the Gram of that column standardized, so calls that share
     it build each Gram once and an entry serves only a column with the same
     bits. Rw-KIIM's coefficients for a cause column, an n x n array more, are
-    kept under ``("coeffs", its bytes)`` only when ``keep`` holds those bytes."""
+    kept under ``("coeffs", its bytes)`` by the ``keep`` rule of
+    ``baselines._shared``."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
     names = roles(direction)
@@ -222,15 +223,10 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
             cache[key] = gram(key[0], dataset.standardized(name))
     Kx, Ky = (cache[key] for key in keys)
     if reweighted:
-        cause = keys[0][1]
-        A = cache.get(("coeffs", cause))
-        if A is None:
-            # Rw-KIIM weights the cause sample toward a uniform reference on its range.
-            r = reweighting_vector(dataset.standardized(names[0]),
-                                   clip_quantile=config.rw_clip_quantile)
-            A = reweighted_cond_matrix(Kx, r, config.lam)
-            if cause in keep:
-                cache["coeffs", cause] = A
+        # Rw-KIIM weights the cause sample toward a uniform reference on its range.
+        A = _shared(cache, keep, ("coeffs", keys[0][1]), lambda: reweighted_cond_matrix(
+            Kx, reweighting_vector(dataset.standardized(names[0]),
+                                   clip_quantile=config.rw_clip_quantile), config.lam))
         return _coeffs_factor(A, Ky)
     return _kiim_factor(Kx, Ky, config.lam)
 
@@ -253,12 +249,12 @@ def _direction_score(dataset, direction, method: Method, config, cache, keep) ->
         B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, cache, keep)
         return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
-        return DirectionScore(score=kcdc_score(dataset, direction, config))
+        return DirectionScore(score=_kcdc_score(dataset, direction, config, cache, keep))
     if method is Method.IGCI_GAUSS:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.GAUSSIAN))
     if method is Method.IGCI_UNIFORM:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.UNIFORM))
-    return DirectionScore(score=anm_score(dataset, direction, config))
+    return DirectionScore(score=_anm_score(dataset, direction, config, cache, keep))
 
 
 def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction:
@@ -289,32 +285,40 @@ def infer_direction(dataset: PairedDataset, method,
     return _decision(dataset, Method(method), config, {})
 
 
+#: The methods that share one cache in ``score_datasets``, in the order they run.
+_CACHE_GROUPS = ((Method.KIIM, Method.RW_KIIM), (Method.KCDC,), (Method.ANM,),
+                 (Method.IGCI_GAUSS, Method.IGCI_UNIFORM))
+
+
 def score_datasets(datasets, methods, config: RunConfig) -> tuple:
     """``attempt((infer_direction, dataset, method, config))`` for each dataset
     and each method, flat in (dataset, method) order: ``(decision, None)``, or
     ``(None, message)`` for a failure (see ``errors.attempt``).
 
-    KIIM and Rw-KIIM run first, over every dataset, on one cache (see
-    ``_invariance_factor``). From one dataset to the next it keeps only the
-    entries of a column that the next dataset holds bit for bit, as the cells
-    of a synthetic trial hold their cause, and Rw-KIIM's coefficients only
-    for such a column. So a lone dataset keeps the working set of one
-    decision, and a run of datasets with one cause holds one n x n array
-    more. The cache is dropped before KCDC, IGCI and ANM run.
+    The methods run a group at a time over every dataset, each group on a
+    cache of its own that is dropped before the next group runs: KIIM and
+    Rw-KIIM share one (see ``_invariance_factor``), then KCDC, ANM and the
+    IGCI scores (which read none) run. From one dataset to the next a cache
+    keeps only the entries of a column that the next dataset holds bit for
+    bit, as the cells of a synthetic trial hold their cause. Such a column's
+    Rw-KIIM coefficients, KCDC coefficients and output Gram
+    (``baselines._kcdc_score``) and ANM Gram and factor
+    (``baselines._anm_score``) are stored only then. So a
+    lone dataset keeps the working set of one decision, at most four n x n
+    arrays, and a run of datasets with one cause at most five.
     """
     methods = [Method(m) for m in methods]
     shared = [{ds.xs.tobytes(), ds.ys.tobytes()} for ds in datasets[1:]] + [set()]
-    outcomes, cache = {}, {}
-    for k, (dataset, keep) in enumerate(zip(datasets, shared)):
-        for method in methods:
-            if method in (Method.KIIM, Method.RW_KIIM):
-                outcomes[k, method] = attempt((_decision, dataset, method, config, cache, keep))
-        for key in [key for key in cache if key[1] not in keep]:
-            del cache[key]
-    for k, dataset in enumerate(datasets):
-        for method in methods:
-            if (k, method) not in outcomes:
-                outcomes[k, method] = attempt((_decision, dataset, method, config, {}))
+    outcomes = {}
+    for group in _CACHE_GROUPS:
+        cache = {}
+        for k, (dataset, keep) in enumerate(zip(datasets, shared)):
+            for method in methods:
+                if method in group:
+                    outcomes[k, method] = attempt((_decision, dataset, method, config, cache,
+                                                   keep))
+            for key in [key for key in cache if key[1] not in keep]:
+                del cache[key]
     return tuple(outcomes[k, method] for k in range(len(datasets)) for method in methods)
 
 

@@ -15,9 +15,10 @@ import pytest
 
 import kiim.bench
 from kiim import Mechanism, MechanismSpec, Method, Noise, NumericalError, PairedDataset, \
-    RunConfig, evaluate_tcep, generate, infer_direction, load_tcep, run_ablation, \
-    run_synthetic, scoring, table1_grid
+    RunConfig, baselines, evaluate_tcep, generate, gram, infer_direction, load_tcep, \
+    run_ablation, run_synthetic, scoring, table1_grid
 from kiim.bench import _synthetic_trial, run_trials
+from kiim.errors import attempt
 from kiim.scoring import score_datasets
 
 CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
@@ -271,9 +272,9 @@ def _per_dataset(outcomes, methods):
 
 
 def _alone(dataset, methods):
-    """``_hex`` of each method's decision on a fresh copy of ``dataset``, scored by itself."""
+    """``_hex`` of each method's outcome on a fresh copy of ``dataset``, scored by itself."""
     copy = PairedDataset(dataset.xs.copy(), dataset.ys.copy())
-    return _hex([(infer_direction(copy, method), None) for method in methods])
+    return _hex([attempt((infer_direction, copy, method)) for method in methods])
 
 
 def test_every_score_of_a_trial_is_the_score_of_its_dataset_alone():
@@ -287,17 +288,29 @@ def test_every_score_of_a_trial_is_the_score_of_its_dataset_alone():
             assert _hex(outcomes) == _alone(dataset, methods)
 
 
-def _count_shared_work(monkeypatch):
-    """Record the Grams and the Rw-KIIM coefficient matrices that KIIM and
-    Rw-KIIM build."""
-    built = {"gram": [], "reweighted_cond_matrix": []}
+def _count_calls(monkeypatch, module, names):
+    """Record the arguments of each call to the functions ``names`` of ``module``."""
+    built = {name: [] for name in names}
     for name, calls in built.items():
-        def spy(*args, _original=getattr(scoring, name), _calls=calls):
+        def spy(*args, _original=getattr(module, name), _calls=calls):
             _calls.append(args)
             return _original(*args)
 
-        monkeypatch.setattr(scoring, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return built
+
+
+def _count_shared_work(monkeypatch):
+    """Record the Grams and the Rw-KIIM coefficient matrices that KIIM and
+    Rw-KIIM build."""
+    return _count_calls(monkeypatch, scoring, ("gram", "reweighted_cond_matrix"))
+
+
+def _count_cause_parts(monkeypatch):
+    """Record KCDC's coefficient solves, ANM's (Gram, factor) fits and every
+    ridge factor that KCDC and ANM make."""
+    return _count_calls(monkeypatch, baselines,
+                        ("_kcdc_coeffs", "_anm_fit", "ridge_factorization"))
 
 
 def test_a_trial_builds_its_shared_cause_work_once(monkeypatch):
@@ -307,6 +320,19 @@ def test_a_trial_builds_its_shared_cause_work_once(monkeypatch):
     _synthetic_trial(_TRIAL_CELLS, 40, 5, (Method.KIIM, Method.RW_KIIM), RunConfig())
     assert {name: len(calls) for name, calls in built.items()} == {
         "gram": 1 + 3, "reweighted_cond_matrix": 1 + 3}
+
+
+def test_a_trial_makes_kcdc_and_anm_cause_parts_once(monkeypatch):
+    """Three cells with one cause: KCDC factors and solves the cause's system
+    and builds the cause's output Gram once, and ANM factors the cause's Gram
+    once; every effect, the cause in the other direction, gets its own."""
+    config = RunConfig()
+    built = _count_cause_parts(monkeypatch)
+    grams = _count_calls(monkeypatch, baselines, ("gram",))["gram"]
+    _synthetic_trial(_TRIAL_CELLS, 40, 5, (Method.KCDC, Method.ANM), config)
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "_kcdc_coeffs": 1 + 3, "_anm_fit": 1 + 3, "ridge_factorization": 2 * (1 + 3)}
+    assert [spec for spec, _ in grams].count(config.kcdc_output_kernel) == 1 + 3
 
 
 def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
@@ -330,13 +356,15 @@ def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
         return outcomes
 
     monkeypatch.setattr(kiim.bench, "score_datasets", spy)
-    built = _count_shared_work(monkeypatch)
-    methods = [Method.RW_KIIM, Method.ANM, Method.KIIM]
+    built = {**_count_shared_work(monkeypatch), **_count_cause_parts(monkeypatch)}
+    methods = [Method.RW_KIIM, Method.ANM, Method.KCDC, Method.KIIM]
     results = run_synthetic(_TRIAL_CELLS, methods, trials=2, n=40, seed=5)
     # Only the outer cells share a cause, and they are no neighbours: each of
-    # the three datasets builds its own two Grams and two coefficient matrices.
+    # the three datasets builds its own two Grams, two coefficient matrices,
+    # two KCDC solves and two ANM fits.
     assert {name: len(calls) for name, calls in built.items()} == {
-        "gram": 2 * 3 * 2, "reweighted_cond_matrix": 2 * 3 * 2}
+        "gram": 2 * 3 * 2, "reweighted_cond_matrix": 2 * 3 * 2, "_kcdc_coeffs": 2 * 3 * 2,
+        "_anm_fit": 2 * 3 * 2, "ridge_factorization": 2 * 2 * 3 * 2}
     monkeypatch.setattr(kiim.bench, "score_datasets", score)
     assert len(seen) == 2
     for datasets, outcomes in seen:
@@ -346,6 +374,38 @@ def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
             assert _hex(per_method) == _alone(dataset, methods)
     assert results == tuple(r for cell in _TRIAL_CELLS
                             for r in run_synthetic([cell], methods, trials=2, n=40, seed=5))
+
+
+@pytest.mark.parametrize("method, helper", [(Method.KCDC, "_kcdc_coeffs"),
+                                            (Method.ANM, "_anm_fit")], ids=["KCDC", "ANM"])
+def test_a_failed_shared_cause_part_is_not_cached(monkeypatch, method, helper):
+    """When the shared cause's part raises, nothing is cached: every cell
+    tries it again and reports the message it reports alone, and the other
+    methods' outcomes do not change."""
+    config, methods = RunConfig(), list(Method)
+    datasets = [generate(MechanismSpec(mechanism=m, noise=z, n=40, seed=5))
+                for m, z in _TRIAL_CELLS]
+    assert len({ds.xs.tobytes() for ds in datasets}) == 1
+    clean = _per_dataset(score_datasets(datasets, methods, config), methods)
+    cause = datasets[0].standardized("xs")
+    # The first argument each helper gets for the shared cause.
+    mark = gram(config.kcdc_input_kernel, cause) if method is Method.KCDC else cause
+    original, tries = getattr(baselines, helper), []
+
+    def fail_on_the_shared_cause(first, *args):
+        if np.array_equal(first, mark):
+            tries.append(first)
+            raise NumericalError("singular cause system")
+        return original(first, *args)
+
+    monkeypatch.setattr(baselines, helper, fail_on_the_shared_cause)
+    together = _per_dataset(score_datasets(datasets, methods, config), methods)
+    assert len(tries) == len(datasets)
+    k = methods.index(method)
+    for dataset, outcomes, before in zip(datasets, together, clean):
+        assert _hex(outcomes) == _alone(dataset, methods)
+        assert _hex(outcomes)[k] == "singular cause system"
+        assert _hex(outcomes[:k] + outcomes[k + 1:]) == _hex(before[:k] + before[k + 1:])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -127,12 +127,14 @@ def _hex(outcome):
 def test_a_run_that_holds_the_pairs_columns_scores_it_as_alone(cause, other, relation, n,
                                                                lam, seed):
     """The pair follows a swapped copy of itself, which holds its columns bit
-    for bit in the other roles, so it reads the Grams and Rw-KIIM
-    coefficients that the copy cached: the cache keys an entry by a
-    column's bits, not by its role. The other methods never read it."""
+    for bit in the other roles, so it reads what the copy cached for each
+    column: KIIM's and Rw-KIIM's Grams and Rw-KIIM's coefficients, KCDC's
+    coefficients and output Gram, and ANM's Gram and ridge factor. Every
+    cache keys an entry
+    by a column's bits, not by its role. The IGCI scores cache nothing."""
     dataset, _ = _pair(cause, other, relation, n, seed)
     datasets = [PairedDataset(dataset.ys.copy(), dataset.xs.copy()), dataset]
-    methods, config = (Method.KIIM, Method.RW_KIIM), RunConfig(lam=lam)
+    methods, config = tuple(Method), RunConfig(lam=lam)
     together = score_datasets(datasets, methods, config)
     alone = [attempt((infer_direction, ds, method, config))
              for ds in datasets for method in methods]
