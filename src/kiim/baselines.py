@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .embeddings import ridge_factorization
-from .kernels import KernelSpec, center, gram, rbf
+from .kernels import ColumnCache, KernelSpec, center, gram, rbf
 from .pairs import Direction, PairedDataset
 
 
@@ -32,19 +32,6 @@ def roles(direction) -> tuple[str, str]:
     if direction is Direction.Y_TO_X:
         return "ys", "xs"
     raise ValueError("direction must be XtoY or YtoX")
-
-
-def _shared(cache: dict, keep, key: tuple, build):
-    """``cache[key]``, else ``build()``. ``key[1]`` holds the raw bytes of
-    the column the value was built from, and the value is stored only when
-    ``keep`` holds those bytes, so it serves just a later dataset with that
-    column bit for bit. With ``keep`` empty nothing is stored."""
-    value = cache.get(key)
-    if value is None:
-        value = build()
-        if key[1] in keep:
-            cache[key] = value
-    return value
 
 
 def _kcdc_coeffs(Kx: np.ndarray, lam: float) -> np.ndarray:
@@ -73,24 +60,23 @@ def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
 def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
     """Deviance of conditional embeddings of the effect given the cause,
     with ridge ``config.lam`` on the embedding solves."""
-    return _kcdc_score(dataset, direction, config, {}, ())
+    return _kcdc_score(dataset, direction, config, ColumnCache())
 
 
-def _kcdc_score(dataset: PairedDataset, direction, config: RunConfig, cache: dict,
-                keep) -> float:
+def _kcdc_score(dataset: PairedDataset, direction, config: RunConfig,
+                cache: ColumnCache) -> float:
     """``kcdc_score``, reading from ``cache`` the cause's A, under
-    ``("coeffs", column bytes)``, and the effect's Gram, under (output
-    kernel, column bytes), or storing them there by the ``keep`` rule of
-    ``_shared``. The cause's Gram and factor are freed before the effect's
-    Gram is built."""
+    ``"coeffs"``, and the effect's Gram, under the output kernel, or
+    storing them there (``ColumnCache.shared``). The cause's Gram and
+    factor are freed before the effect's Gram is built."""
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
     cause, effect = roles(direction)
     x, y = dataset.standardized(cause), dataset.standardized(effect)
-    A = _shared(cache, keep, ("coeffs", getattr(dataset, cause).tobytes()),
-                lambda: _kcdc_coeffs(gram(config.kcdc_input_kernel, x), config.lam))
-    Ky = _shared(cache, keep, (config.kcdc_output_kernel, getattr(dataset, effect).tobytes()),
-                 lambda: gram(config.kcdc_output_kernel, y))
+    A = cache.shared(cache.key("coeffs", getattr(dataset, cause)),
+                     lambda: _kcdc_coeffs(gram(config.kcdc_input_kernel, x), config.lam))
+    Ky = cache.shared(cache.key(config.kcdc_output_kernel, getattr(dataset, effect)),
+                      lambda: gram(config.kcdc_output_kernel, y))
     return _kcdc_spread(A, Ky)
 
 
@@ -183,20 +169,19 @@ def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()
     hsic(cause, residual); an additive-noise pair fit in the causal
     direction leaves residuals nearly independent of the cause.
     """
-    return _anm_score(dataset, direction, config, {}, ())
+    return _anm_score(dataset, direction, config, ColumnCache())
 
 
-def _anm_score(dataset: PairedDataset, direction, config: RunConfig, cache: dict,
-               keep) -> float:
+def _anm_score(dataset: PairedDataset, direction, config: RunConfig,
+               cache: ColumnCache) -> float:
     """``anm_score``, reading the cause's (Gram, factor) pair from ``cache``
-    or storing it there under (kernel, column bytes) by the ``keep`` rule of
-    ``_shared``."""
+    under ANM's kernel, or storing it there (``ColumnCache.shared``)."""
     if dataset.n < 10:
         raise ValueError("regression score needs at least 10 paired samples")
     cause, effect = roles(direction)
     x, y = dataset.standardized(cause), dataset.standardized(effect)
-    K, factor = _shared(cache, keep, (config.anm_kernel, getattr(dataset, cause).tobytes()),
-                        lambda: _anm_fit(x, config))
+    K, factor = cache.shared(cache.key(config.anm_kernel, getattr(dataset, cause)),
+                             lambda: _anm_fit(x, config))
     residual = y - K @ factor.solve(y)
     del K, factor  # unless cached, freed before hsic builds its two Grams
     # Fixed unit bandwidth: the median heuristic would rescale the residuals

@@ -222,3 +222,40 @@ def center(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if X.shape[0] < 1:
         raise ValueError("centering needs n >= 1")
     return np.subtract(X, X.mean(axis=0), out=out)
+
+
+class ColumnCache(dict):
+    """Arrays built from data columns, keyed by ``(tag, column bytes)``
+    (``ColumnCache.key``), so an entry serves only a column with the same
+    bits: a Gram under its kernel spec, other parts under a tag of their
+    own. ``keep`` holds the bytes of the columns whose entries may outlive
+    the dataset being scored; ``shared`` stores a value only for such a
+    column and ``evict`` drops every other entry. A fresh cache keeps
+    nothing, so ``shared`` stores nothing in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.keep = frozenset()
+
+    @staticmethod
+    def key(tag, column: np.ndarray) -> tuple:
+        return tag, column.tobytes()
+
+    def hold(self, *columns: np.ndarray) -> None:
+        """Keep the entries of ``columns``, and no others, past ``evict``."""
+        self.keep = frozenset(column.tobytes() for column in columns)
+
+    def shared(self, key: tuple, build):
+        """``self[key]``, else ``build()``, stored only when ``keep`` holds
+        the column of ``key`` and ``build`` returned."""
+        value = self.get(key)
+        if value is None:
+            value = build()
+            if key[1] in self.keep:
+                self[key] = value
+        return value
+
+    def evict(self) -> None:
+        """Drop every entry of a column that ``keep`` does not hold."""
+        for key in [key for key in self if key[1] not in self.keep]:
+            del self[key]

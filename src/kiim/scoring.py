@@ -18,12 +18,12 @@ from enum import Enum
 
 import numpy as np
 
-from .baselines import _anm_score, _kcdc_score, _shared, igci_score, IgciReference, roles
+from .baselines import _anm_score, _kcdc_score, igci_score, IgciReference, roles
 from .blas import one_thread
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
 from .errors import NumericalError, attempt
-from .kernels import center, gram
+from .kernels import ColumnCache, center, gram
 from .pairs import Direction, PairedDataset
 
 CLAMP_FACTOR = 1e-10
@@ -206,27 +206,28 @@ def factor_score(B: np.ndarray,
 
 
 def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
-                       reweighted: bool, cache: dict, keep=()) -> np.ndarray:
-    """B of M = B^T B for one direction. ``cache`` maps (kernel spec, raw
-    column bytes) to the Gram of that column standardized, so calls that share
-    it build each Gram once and an entry serves only a column with the same
-    bits. Rw-KIIM's coefficients for a cause column, an n x n array more, are
-    kept under ``("coeffs", its bytes)`` by the ``keep`` rule of
-    ``baselines._shared``."""
+                       reweighted: bool, cache: ColumnCache) -> np.ndarray:
+    """B of M = B^T B for one direction. ``cache`` holds the Gram of each
+    column standardized under its kernel spec, so calls that share it build
+    each Gram once. Rw-KIIM's coefficients for a cause column, an n x n
+    array more, are kept under ``"coeffs"`` by ``ColumnCache.shared``."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
     names = roles(direction)
-    keys = [(spec, getattr(dataset, name).tobytes())
-            for spec, name in zip((config.kernel_x, config.kernel_y), names)]
-    for key, name in zip(keys, names):
+    grams = []
+    for spec, name in zip((config.kernel_x, config.kernel_y), names):
+        key = cache.key(spec, getattr(dataset, name))
         if key not in cache:
-            cache[key] = gram(key[0], dataset.standardized(name))
-    Kx, Ky = (cache[key] for key in keys)
+            cache[key] = gram(spec, dataset.standardized(name))
+        grams.append(cache[key])
+    Kx, Ky = grams
     if reweighted:
         # Rw-KIIM weights the cause sample toward a uniform reference on its range.
-        A = _shared(cache, keep, ("coeffs", keys[0][1]), lambda: reweighted_cond_matrix(
-            Kx, reweighting_vector(dataset.standardized(names[0]),
-                                   clip_quantile=config.rw_clip_quantile), config.lam))
+        A = cache.shared(cache.key("coeffs", getattr(dataset, names[0])),
+                         lambda: reweighted_cond_matrix(
+                             Kx, reweighting_vector(dataset.standardized(names[0]),
+                                                    clip_quantile=config.rw_clip_quantile),
+                             config.lam))
         return _coeffs_factor(A, Ky)
     return _kiim_factor(Kx, Ky, config.lam)
 
@@ -234,27 +235,27 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
 def invariance_matrix(dataset: PairedDataset, direction, config: RunConfig,
                       reweighted: bool = False) -> np.ndarray:
     """M = B^T B for one direction of a dataset."""
-    B = _invariance_factor(dataset, direction, config, reweighted, {})
+    B = _invariance_factor(dataset, direction, config, reweighted, ColumnCache())
     return B.T @ B
 
 
 def kiim_score(dataset: PairedDataset, direction,
                config: RunConfig = RunConfig()) -> DirectionScore:
     """Invariance score of one direction (plain conditional embeddings)."""
-    return _direction_score(dataset, direction, Method.KIIM, config, {}, ())
+    return _direction_score(dataset, direction, Method.KIIM, config, ColumnCache())
 
 
-def _direction_score(dataset, direction, method: Method, config, cache, keep) -> DirectionScore:
+def _direction_score(dataset, direction, method: Method, config, cache) -> DirectionScore:
     if method in (Method.KIIM, Method.RW_KIIM):
-        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, cache, keep)
+        B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, cache)
         return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
-        return DirectionScore(score=_kcdc_score(dataset, direction, config, cache, keep))
+        return DirectionScore(score=_kcdc_score(dataset, direction, config, cache))
     if method is Method.IGCI_GAUSS:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.GAUSSIAN))
     if method is Method.IGCI_UNIFORM:
         return DirectionScore(score=igci_score(dataset, direction, IgciReference.UNIFORM))
-    return DirectionScore(score=_anm_score(dataset, direction, config, cache, keep))
+    return DirectionScore(score=_anm_score(dataset, direction, config, cache))
 
 
 def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction:
@@ -265,12 +266,12 @@ def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction
     return Direction.X_TO_Y if score_xy < score_yx else Direction.Y_TO_X
 
 
-def _decision(dataset, method: Method, config, cache, keep=()) -> CausalDecision:
+def _decision(dataset, method: Method, config, cache) -> CausalDecision:
     """Both directions on one BLAS thread (``blas.one_thread``), sharing
     ``cache`` (see ``_invariance_factor``)."""
     with one_thread():
-        score_xy = _direction_score(dataset, Direction.X_TO_Y, method, config, cache, keep)
-        score_yx = _direction_score(dataset, Direction.Y_TO_X, method, config, cache, keep)
+        score_xy = _direction_score(dataset, Direction.X_TO_Y, method, config, cache)
+        score_yx = _direction_score(dataset, Direction.Y_TO_X, method, config, cache)
     return CausalDecision(direction=_decide(score_xy.score, score_yx.score, config.tie_tolerance),
                           score_xy=score_xy, score_yx=score_yx, method=method)
 
@@ -282,7 +283,7 @@ def infer_direction(dataset: PairedDataset, method,
     Smaller score wins; ties within the tolerance are Undecided (see ``_decide``).
     Both directions run on one BLAS thread (``blas.one_thread``) and share Grams.
     """
-    return _decision(dataset, Method(method), config, {})
+    return _decision(dataset, Method(method), config, ColumnCache())
 
 
 #: The methods that share one cache in ``score_datasets``, in the order they run.
@@ -298,27 +299,27 @@ def score_datasets(datasets, methods, config: RunConfig) -> tuple:
     The methods run a group at a time over every dataset, each group on a
     cache of its own that is dropped before the next group runs: KIIM and
     Rw-KIIM share one (see ``_invariance_factor``), then KCDC, ANM and the
-    IGCI scores (which read none) run. From one dataset to the next a cache
-    keeps only the entries of a column that the next dataset holds bit for
-    bit, as the cells of a synthetic trial hold their cause. Such a column's
-    Rw-KIIM coefficients, KCDC coefficients and output Gram
-    (``baselines._kcdc_score``) and ANM Gram and factor
-    (``baselines._anm_score``) are stored only then. So a
-    lone dataset keeps the working set of one decision, at most four n x n
-    arrays, and a run of datasets with one cause at most five.
+    IGCI scores (which read none) run. While a dataset is scored its cache
+    holds the columns of the next one (``ColumnCache.hold``), so from one
+    dataset to the next it keeps only the entries of a column that the next
+    dataset holds bit for bit, as the cells of a synthetic trial hold their
+    cause. Such a column's Rw-KIIM coefficients, KCDC coefficients and
+    output Gram (``baselines._kcdc_score``) and ANM Gram and factor
+    (``baselines._anm_score``) are stored only then. So a lone dataset keeps
+    the working set of one decision, at most four n x n arrays, and a run of
+    datasets with one cause at most five.
     """
     methods = [Method(m) for m in methods]
-    shared = [{ds.xs.tobytes(), ds.ys.tobytes()} for ds in datasets[1:]] + [set()]
+    nexts = [(ds.xs, ds.ys) for ds in datasets[1:]] + [()]
     outcomes = {}
     for group in _CACHE_GROUPS:
-        cache = {}
-        for k, (dataset, keep) in enumerate(zip(datasets, shared)):
+        cache = ColumnCache()
+        for k, (dataset, columns) in enumerate(zip(datasets, nexts)):
+            cache.hold(*columns)
             for method in methods:
                 if method in group:
-                    outcomes[k, method] = attempt((_decision, dataset, method, config, cache,
-                                                   keep))
-            for key in [key for key in cache if key[1] not in keep]:
-                del cache[key]
+                    outcomes[k, method] = attempt((_decision, dataset, method, config, cache))
+            cache.evict()
     return tuple(outcomes[k, method] for k in range(len(datasets)) for method in methods)
 
 
@@ -333,7 +334,7 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
     """
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
-    cache, spectra = {}, []
+    cache, spectra = ColumnCache(), []
     with one_thread():
         for direction in (Direction.X_TO_Y, Direction.Y_TO_X):
             B = _invariance_factor(dataset, direction, config, False, cache)

@@ -130,8 +130,8 @@ def test_a_run_that_holds_the_pairs_columns_scores_it_as_alone(cause, other, rel
     for bit in the other roles, so it reads what the copy cached for each
     column: KIIM's and Rw-KIIM's Grams and Rw-KIIM's coefficients, KCDC's
     coefficients and output Gram, and ANM's Gram and ridge factor. Every
-    cache keys an entry
-    by a column's bits, not by its role. The IGCI scores cache nothing."""
+    cache keys an entry by a column's bits, not by its role. The IGCI scores
+    cache nothing."""
     dataset, _ = _pair(cause, other, relation, n, seed)
     datasets = [PairedDataset(dataset.ys.copy(), dataset.xs.copy()), dataset]
     methods, config = tuple(Method), RunConfig(lam=lam)
