@@ -4,8 +4,8 @@ baselines, synthetic and real-pair benchmarks, and executable checks of
 the underlying identifiability facts.
 """
 
-from .baselines import IgciReference, anm_score, hsic, igci_score, kcdc_deviance, \
-    kcdc_score, spacing_entropy
+from .baselines import IgciReference, anm_score, hsic, igci_score, kcdc_score, \
+    spacing_entropy
 from .bench import AblationCellResult, CellResult, parse_cells, run_ablation, run_synthetic
 from .config import RunConfig, build_config, config_digest, kernel_to_text, parse_kernel, \
     read_config_file, serialize_config

@@ -46,17 +46,6 @@ def _kcdc_spread(A: np.ndarray, Ky: np.ndarray) -> float:
     return float(norms.var())
 
 
-def kcdc_deviance(Kx: np.ndarray, Ky: np.ndarray, lam: float) -> float:
-    """Population variance of the conditional-embedding norms.
-
-    Norm i is sqrt(max(0, a_i^T K_y a_i)) with a_i = (K_x + lam I)^{-1} k_{x_i};
-    the guard exists because the log input kernel is not positive definite.
-    """
-    if Kx.shape != Ky.shape:
-        raise ValueError("Gram matrices must have matching dimensions")
-    return _kcdc_spread(_kcdc_coeffs(Kx, lam), Ky)
-
-
 def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
     """Deviance of conditional embeddings of the effect given the cause,
     with ridge ``config.lam`` on the embedding solves."""
@@ -65,18 +54,17 @@ def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig(
 
 def _kcdc_score(dataset: PairedDataset, direction, config: RunConfig,
                 cache: ColumnCache) -> float:
-    """``kcdc_score``, reading from ``cache`` the cause's A, under
-    ``"coeffs"``, and the effect's Gram, under the output kernel, or
-    storing them there (``ColumnCache.shared``). The cause's Gram and
-    factor are freed before the effect's Gram is built."""
+    """``kcdc_score``, with the cause's A and the effect's Gram as KCDC's
+    parts in ``cache`` (``ColumnCache.part``). The cause's Gram and factor
+    are freed before the effect's Gram is built."""
     if dataset.n < 5:
         raise ValueError("deviance score needs at least 5 paired samples")
     cause, effect = roles(direction)
     x, y = dataset.standardized(cause), dataset.standardized(effect)
-    A = cache.shared(cache.key("coeffs", getattr(dataset, cause)),
-                     lambda: _kcdc_coeffs(gram(config.kcdc_input_kernel, x), config.lam))
-    Ky = cache.shared(cache.key(config.kcdc_output_kernel, getattr(dataset, effect)),
-                      lambda: gram(config.kcdc_output_kernel, y))
+    A = cache.part("KCDC coeffs", getattr(dataset, cause),
+                   lambda: _kcdc_coeffs(gram(config.kcdc_input_kernel, x), config.lam))
+    Ky = cache.part("KCDC output Gram", getattr(dataset, effect),
+                    lambda: gram(config.kcdc_output_kernel, y))
     return _kcdc_spread(A, Ky)
 
 
@@ -174,14 +162,13 @@ def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()
 
 def _anm_score(dataset: PairedDataset, direction, config: RunConfig,
                cache: ColumnCache) -> float:
-    """``anm_score``, reading the cause's (Gram, factor) pair from ``cache``
-    under ANM's kernel, or storing it there (``ColumnCache.shared``)."""
+    """``anm_score``, with the cause's (Gram, factor) pair as ANM's part in
+    ``cache`` (``ColumnCache.part``)."""
     if dataset.n < 10:
         raise ValueError("regression score needs at least 10 paired samples")
     cause, effect = roles(direction)
     x, y = dataset.standardized(cause), dataset.standardized(effect)
-    K, factor = cache.shared(cache.key(config.anm_kernel, getattr(dataset, cause)),
-                             lambda: _anm_fit(x, config))
+    K, factor = cache.part("ANM fit", getattr(dataset, cause), lambda: _anm_fit(x, config))
     residual = y - K @ factor.solve(y)
     del K, factor  # unless cached, freed before hsic builds its two Grams
     # Fixed unit bandwidth: the median heuristic would rescale the residuals

@@ -8,7 +8,8 @@ distance 0) and is therefore not positive definite; the sum composite
 pipeline uses the product form.
 
 All inputs are scalar observations; kernels are evaluated on 1-D samples,
-and ``gram`` returns a plain read-only n x n array.
+and ``gram`` returns a plain read-only n x n array. ``ColumnCache`` holds the
+Grams and method parts that the scores of one or more datasets share.
 """
 
 from __future__ import annotations
@@ -224,38 +225,36 @@ def center(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(X, X.mean(axis=0), out=out)
 
 
-class ColumnCache(dict):
-    """Arrays built from data columns, keyed by ``(tag, column bytes)``
-    (``ColumnCache.key``), so an entry serves only a column with the same
-    bits: a Gram under its kernel spec, other parts under a tag of their
-    own. ``keep`` holds the bytes of the columns whose entries may outlive
-    the dataset being scored; ``shared`` stores a value only for such a
-    column and ``evict`` drops every other entry. A fresh cache keeps
-    nothing, so ``shared`` stores nothing in it."""
+class ColumnCache:
+    """Arrays built from data columns, each keyed by its column's bytes, so
+    an entry serves only a column with the same bits. ``gram`` keeps a
+    column's Gram under a kernel spec until ``evict``. ``part`` stores a
+    method's part only for a column of ``keep`` and only after ``build``
+    returned; ``owner`` names the method and the part, so two methods never
+    read each other's parts. The entries of ``keep``'s columns, those that
+    every dataset sharing the cache holds bit for bit (a synthetic trial's
+    cause), outlive ``evict``. One cache serves one run configuration."""
 
-    def __init__(self):
-        super().__init__()
-        self.keep = frozenset()
+    def __init__(self, keep=()):
+        self._keep = frozenset(column.tobytes() for column in keep)
+        self._entries = {}
 
-    @staticmethod
-    def key(tag, column: np.ndarray) -> tuple:
-        return tag, column.tobytes()
+    def gram(self, spec: KernelSpec, column: np.ndarray, build) -> np.ndarray:
+        key = spec, column.tobytes()
+        if key not in self._entries:
+            self._entries[key] = build()
+        return self._entries[key]
 
-    def hold(self, *columns: np.ndarray) -> None:
-        """Keep the entries of ``columns``, and no others, past ``evict``."""
-        self.keep = frozenset(column.tobytes() for column in columns)
-
-    def shared(self, key: tuple, build):
-        """``self[key]``, else ``build()``, stored only when ``keep`` holds
-        the column of ``key`` and ``build`` returned."""
-        value = self.get(key)
+    def part(self, owner: str, column: np.ndarray, build):
+        key = owner, column.tobytes()
+        value = self._entries.get(key)
         if value is None:
             value = build()
-            if key[1] in self.keep:
-                self[key] = value
+            if key[1] in self._keep:
+                self._entries[key] = value
         return value
 
     def evict(self) -> None:
         """Drop every entry of a column that ``keep`` does not hold."""
-        for key in [key for key in self if key[1] not in self.keep]:
-            del self[key]
+        self._entries = {key: value for key, value in self._entries.items()
+                         if key[1] in self._keep}

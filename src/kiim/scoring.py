@@ -210,24 +210,22 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
     """B of M = B^T B for one direction. ``cache`` holds the Gram of each
     column standardized under its kernel spec, so calls that share it build
     each Gram once. Rw-KIIM's coefficients for a cause column, an n x n
-    array more, are kept under ``"coeffs"`` by ``ColumnCache.shared``."""
+    array more, are its part (``ColumnCache.part``)."""
     if dataset.n < 5:
         raise ValueError("invariance score needs at least 5 paired samples")
     names = roles(direction)
     grams = []
     for spec, name in zip((config.kernel_x, config.kernel_y), names):
-        key = cache.key(spec, getattr(dataset, name))
-        if key not in cache:
-            cache[key] = gram(spec, dataset.standardized(name))
-        grams.append(cache[key])
+        grams.append(cache.gram(spec, getattr(dataset, name),
+                                lambda: gram(spec, dataset.standardized(name))))
     Kx, Ky = grams
     if reweighted:
         # Rw-KIIM weights the cause sample toward a uniform reference on its range.
-        A = cache.shared(cache.key("coeffs", getattr(dataset, names[0])),
-                         lambda: reweighted_cond_matrix(
-                             Kx, reweighting_vector(dataset.standardized(names[0]),
-                                                    clip_quantile=config.rw_clip_quantile),
-                             config.lam))
+        A = cache.part("RwKIIM coeffs", getattr(dataset, names[0]),
+                       lambda: reweighted_cond_matrix(
+                           Kx, reweighting_vector(dataset.standardized(names[0]),
+                                                  clip_quantile=config.rw_clip_quantile),
+                           config.lam))
         return _coeffs_factor(A, Ky)
     return _kiim_factor(Kx, Ky, config.lam)
 
@@ -286,7 +284,10 @@ def infer_direction(dataset: PairedDataset, method,
     return _decision(dataset, Method(method), config, ColumnCache())
 
 
-#: The methods that share one cache in ``score_datasets``, in the order they run.
+#: The method groups of ``score_datasets``, run one at a time in this order,
+#: each on a cache of its own. They bound memory only (each part's key names
+#: its method, so they need not keep parts apart): one group's cause work is
+#: held at a time, which keeps a trial within five n x n arrays.
 _CACHE_GROUPS = ((Method.KIIM, Method.RW_KIIM), (Method.KCDC,), (Method.ANM,),
                  (Method.IGCI_GAUSS, Method.IGCI_UNIFORM))
 
@@ -296,26 +297,25 @@ def score_datasets(datasets, methods, config: RunConfig) -> tuple:
     and each method, flat in (dataset, method) order: ``(decision, None)``, or
     ``(None, message)`` for a failure (see ``errors.attempt``).
 
-    The methods run a group at a time over every dataset, each group on a
-    cache of its own that is dropped before the next group runs: KIIM and
-    Rw-KIIM share one (see ``_invariance_factor``), then KCDC, ANM and the
-    IGCI scores (which read none) run. While a dataset is scored its cache
-    holds the columns of the next one (``ColumnCache.hold``), so from one
-    dataset to the next it keeps only the entries of a column that the next
-    dataset holds bit for bit, as the cells of a synthetic trial hold their
-    cause. Such a column's Rw-KIIM coefficients, KCDC coefficients and
-    output Gram (``baselines._kcdc_score``) and ANM Gram and factor
-    (``baselines._anm_score``) are stored only then. So a lone dataset keeps
-    the working set of one decision, at most four n x n arrays, and a run of
-    datasets with one cause at most five.
+    The methods run a group at a time over every dataset (``_CACHE_GROUPS``),
+    each group on a ``ColumnCache`` that keeps the columns every one of the
+    datasets holds bit for bit: the cause of a synthetic trial, and nothing
+    for a lone dataset. After each dataset the cache drops the rest. So a
+    trial builds its cause's Gram and its Rw-KIIM, KCDC and ANM cause parts
+    (KCDC's output Gram too) once, and every outcome is that of its dataset
+    scored alone. A lone dataset holds the working set of one decision, at
+    most four n x n arrays, and a trial at most five.
     """
     methods = [Method(m) for m in methods]
-    nexts = [(ds.xs, ds.ys) for ds in datasets[1:]] + [()]
+    keep = ()
+    if len(datasets) > 1:
+        keep = [column for column in (datasets[0].xs, datasets[0].ys)
+                if all(column.tobytes() in (ds.xs.tobytes(), ds.ys.tobytes())
+                       for ds in datasets[1:])]
     outcomes = {}
     for group in _CACHE_GROUPS:
-        cache = ColumnCache()
-        for k, (dataset, columns) in enumerate(zip(datasets, nexts)):
-            cache.hold(*columns)
+        cache = ColumnCache(keep)
+        for k, dataset in enumerate(datasets):
             for method in methods:
                 if method in group:
                     outcomes[k, method] = attempt((_decision, dataset, method, config, cache))

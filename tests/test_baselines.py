@@ -8,8 +8,8 @@ import oracles
 from kiim import (ConfigurationError, Direction, IgciReference, Mechanism,
                   MechanismSpec, Method, Noise, PairedDataset, RunConfig, anm_score,
                   build_config, generate, gram, hsic, igci_score, infer_direction,
-                  kcdc_deviance, kcdc_score, rbf, run_synthetic, spacing_entropy)
-from kiim.baselines import roles
+                  kcdc_score, rbf, run_synthetic, spacing_entropy)
+from kiim.baselines import _kcdc_coeffs, _kcdc_spread, roles
 
 
 def _cell_accuracy(results):
@@ -31,7 +31,7 @@ def test_baseline_config_validation():
         with pytest.raises(ConfigurationError):
             RunConfig(anm_ridge=ridge)
     with pytest.raises(ValueError):
-        kcdc_deviance(np.eye(6), np.eye(6), -1.0)
+        _kcdc_spread(_kcdc_coeffs(np.eye(6), -1.0), np.eye(6))
 
 
 # ----------------------------------------------------------------------- KCDC
@@ -40,19 +40,14 @@ def test_kcdc_identical_causes_give_zero_deviance():
     # constant x: every column of K_x is the same, so every a_i is the same
     ones = np.ones((4, 4))
     Ky = np.diag([1.0, 2.0, 3.0, 4.0])
-    assert kcdc_deviance(ones, Ky, 1e-3) == 0.0
+    assert _kcdc_spread(_kcdc_coeffs(ones, 1e-3), Ky) == 0.0
 
 
 def test_kcdc_two_point_hand_value():
     # identity K_x, K_y = diag(1, 4), tiny ridge: norms {1, 2}, variance 1/4
     Kx = np.eye(2)
     Ky = np.diag([1.0, 4.0])
-    assert kcdc_deviance(Kx, Ky, 1e-9) == pytest.approx(0.25, abs=1e-6)
-
-
-def test_kcdc_deviance_dimension_check():
-    with pytest.raises(ValueError):
-        kcdc_deviance(np.eye(2), np.eye(3), 1e-3)
+    assert _kcdc_spread(_kcdc_coeffs(Kx, 1e-9), Ky) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_kcdc_score_nonnegative():

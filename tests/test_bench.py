@@ -15,10 +15,11 @@ import pytest
 
 import kiim.bench
 from kiim import Mechanism, MechanismSpec, Method, Noise, NumericalError, PairedDataset, \
-    RunConfig, baselines, evaluate_tcep, generate, gram, infer_direction, load_tcep, \
+    RunConfig, baselines, evaluate_tcep, generate, gram, infer_direction, load_tcep, rbf, \
     run_ablation, run_synthetic, scoring, table1_grid
 from kiim.bench import _synthetic_trial, run_trials
 from kiim.errors import attempt
+from kiim.kernels import ColumnCache
 from kiim.scoring import score_datasets
 
 CELLS = [(Mechanism.ANM1, Noise.GAUSSIAN), (Mechanism.MNM2, Noise.UNIFORM)]
@@ -414,6 +415,42 @@ def test_a_failed_shared_cause_part_is_not_cached(monkeypatch, method, helper):
         assert _hex(outcomes[:k] + outcomes[k + 1:]) == _hex(before[:k] + before[k + 1:])
 
 
+def test_only_a_column_that_every_dataset_holds_is_kept(monkeypatch):
+    """Datasets A and B share a cause and C has another: no column is held by
+    all three, so each dataset builds its own cause parts, once in each
+    direction, and scores as it does alone."""
+    methods = list(Method)
+    (m1, z1), (m2, z2), (m3, z3) = _TRIAL_CELLS
+    datasets = [generate(MechanismSpec(mechanism=m1, noise=z1, n=40, seed=5)),
+                generate(MechanismSpec(mechanism=m2, noise=z2, n=40, seed=5)),
+                generate(MechanismSpec(mechanism=m3, noise=z3, n=40, seed=6))]
+    a, b, c = (ds.xs.tobytes() for ds in datasets)
+    assert a == b != c
+    built = {**_count_shared_work(monkeypatch), **_count_cause_parts(monkeypatch)}
+    together = _per_dataset(score_datasets(datasets, methods, RunConfig()), methods)
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "gram": 3 * 2, "reweighted_cond_matrix": 3 * 2, "_kcdc_coeffs": 3 * 2,
+        "_anm_fit": 3 * 2, "ridge_factorization": 2 * 3 * 2}
+    for dataset, outcomes in zip(datasets, together):
+        assert _hex(outcomes) == _alone(dataset, methods)
+
+
+@pytest.mark.parametrize("config", [RunConfig(), RunConfig(kernel_x=rbf(), kernel_y=rbf())],
+                         ids=["default", "rbf"])
+def test_the_methods_never_read_each_others_parts(config):
+    """One cache that keeps both columns serves KIIM, Rw-KIIM, KCDC and ANM
+    in turn: Rw-KIIM's and KCDC's coefficients, and KIIM's Gram and ANM's
+    fit under one kernel, are kept apart by the method in their keys."""
+    methods = [Method.KIIM, Method.RW_KIIM, Method.KCDC, Method.ANM]
+    dataset = generate(MechanismSpec(mechanism=Mechanism.ANM1, noise=Noise.GAUSSIAN, n=100,
+                                     seed=0))
+    cache = ColumnCache(keep=(dataset.xs, dataset.ys))
+    together = [(scoring._decision(dataset, method, config, cache), None) for method in methods]
+    copy = PairedDataset(dataset.xs.copy(), dataset.ys.copy())
+    assert _hex(together) == _hex([(infer_direction(copy, method, config), None)
+                                   for method in methods])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_failed_draw_fails_only_its_own_cells_rows(monkeypatch, caplog, jobs):
     methods, trials, seed = [Method.KIIM, Method.IGCI_GAUSS], 3, 4
@@ -442,9 +479,11 @@ def test_a_failed_draw_fails_only_its_own_cells_rows(monkeypatch, caplog, jobs):
 
 
 def test_a_two_cell_trial_holds_at_most_five_n_by_n_arrays(traced_peak):
-    """A trial keeps its shared cause's Gram and Rw-KIIM coefficients from one
-    dataset to the next: one n x n array more than one dataset's four, with
-    the same 1 MB for vectors and Gram row blocks."""
+    """A trial keeps two n x n arrays of its shared cause for each method
+    group, one group at a time: KIIM and Rw-KIIM its Gram and Rw-KIIM
+    coefficients, KCDC its coefficients and output Gram, ANM its Gram and
+    ridge factor. That is one array more than one dataset's four, with the
+    same 1 MB for vectors and Gram row blocks."""
     n = 1000
     outcomes = []
     peak = traced_peak(lambda: outcomes.extend(

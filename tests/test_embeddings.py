@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 import oracles
-from kiim import (NumericalError, default_composite, gram, kcdc_deviance, rbf,
-                  reweighted_cond_matrix, reweighting_vector, ridge_factorization)
+from kiim import (NumericalError, default_composite, gram, rbf, reweighted_cond_matrix,
+                  reweighting_vector, ridge_factorization)
+from kiim.baselines import _kcdc_coeffs, _kcdc_spread
 from test_kernels import _gram_samples
 
 
@@ -63,7 +64,7 @@ def test_ridge_factorization_rejects_nonpositive_shift(shift):
     with pytest.raises(ValueError, match="ridge shift must be positive and finite"):
         ridge_factorization(np.eye(2), shift)
     with pytest.raises(ValueError, match="ridge shift must be positive and finite"):
-        kcdc_deviance(np.eye(5), np.eye(5), shift)
+        _kcdc_spread(_kcdc_coeffs(np.eye(5), shift), np.eye(5))
     with pytest.raises(ValueError, match="ridge shift must be positive and finite"):
         reweighted_cond_matrix(np.eye(5), np.ones(5), shift)
 
