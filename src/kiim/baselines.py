@@ -106,12 +106,21 @@ def igci_score(dataset: PairedDataset, direction,
     Negative values favor the scored direction; the smaller of the two
     directional scores wins, consistent with the other scorers.
     """
+    return _igci_score(dataset, direction, reference, ColumnCache())
+
+
+def _igci_score(dataset: PairedDataset, direction, reference: IgciReference,
+                cache: ColumnCache) -> float:
+    """``igci_score``, with each column's entropy held in ``cache``
+    (``ColumnCache.held``), so a decision estimates each column's entropy
+    once."""
     reference = IgciReference(reference)
     if dataset.n < 10:
         raise ValueError("entropy comparison needs at least 10 paired samples")
-    cause, effect = roles(direction)
-    h_cause = spacing_entropy(_reference_normalize(dataset, cause, reference))
-    h_effect = spacing_entropy(_reference_normalize(dataset, effect, reference))
+    h_cause, h_effect = (
+        cache.held(("IGCI entropy", reference), getattr(dataset, name),
+                   lambda: spacing_entropy(_reference_normalize(dataset, name, reference)))
+        for name in roles(direction))
     return h_effect - h_cause
 
 

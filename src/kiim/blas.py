@@ -39,6 +39,14 @@ helper threads at every fork, and the first setter call in the child starts
 them again, where they busy-spin beside the worker. So ``kiim.bench`` forks
 its pools inside ``one_thread()``: a worker inherits one thread and scores
 on it without calling a setter.
+
+The ``kiim`` command goes further: ``kiim.cli`` loads both copies with
+``OPENBLAS_NUM_THREADS`` at 1 unless the caller set it, so no helper thread
+starts and ``one_thread()`` never calls a setter. A library caller loads
+them at its own count. There a pooled run still restarts the caller's
+helpers, when ``one_thread()`` restores the count after the fork, and they
+spin for a moment: the 0.3 s after each pooled ``run_synthetic`` call took
+about 250 ms of the caller's CPU on a 2-core machine (docs/formats.md).
 """
 
 from __future__ import annotations

@@ -10,24 +10,32 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import logging
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .bench import parse_cells, run_ablation, run_synthetic
-from .config import _KEYS, RunConfig, build_config, config_digest, config_items, \
-    read_config_file
-from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
-from .kernels import log_kernel, polynomial, rational_quadratic, rbf
-from .pairs import Direction, load_pair_dataset
-from .report import json_text, write_bar_chart, write_csv, write_json_summary, \
-    write_line_chart
-from .scoring import Method, infer_direction
-from .tcep import evaluate_tcep, load_tcep
-from .theory import FiniteBasisDensity, construct_equal_norm_density, verify_lemma1
+# numpy's and scipy's OpenBLAS read OPENBLAS_NUM_THREADS once, when they load
+# (both load below: numpy through kiim.kernels, scipy's through kiim.scoring's
+# kiim.blas). At 1 neither starts the helper threads that every score, run on
+# one thread (kiim.blas.one_thread), would leave idle. A caller's own value
+# stands, and the caller's environment is restored once both have loaded, so
+# no process this one starts inherits the setting.
+_PIN_THREADS = "OPENBLAS_NUM_THREADS" not in os.environ
+if _PIN_THREADS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .config import _KEYS, RunConfig, build_config, config_digest, config_items, \
+        read_config_file
+    from .errors import ConfigurationError, IngestionError, NumericalError, TangencyError
+    from .kernels import log_kernel, polynomial, rational_quadratic, rbf
+    from .pairs import Direction, load_pair_dataset
+    from .report import json_text, write_bar_chart, write_csv, write_json_summary, \
+        write_line_chart
+    from .scoring import Method, infer_direction
+finally:
+    if _PIN_THREADS:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 _METHOD_ALIASES = {m.value.lower(): m for m in Method} | {
     "rw-kiim": Method.RW_KIIM, "igci-gauss": Method.IGCI_GAUSS,
@@ -104,7 +112,15 @@ def cmd_infer(args) -> int:
     return 2 if decision.direction is Direction.UNDECIDED else 0
 
 
+def _log_to_stderr() -> None:
+    """Show the warnings of a benchmark run (a failed trial) on stderr."""
+    import logging
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+
+
 def cmd_synthetic(args) -> int:
+    from .bench import parse_cells, run_synthetic
+    _log_to_stderr()
     config = _config_from_args(args)
     cells = parse_cells(args.cells)
     methods = parse_methods(args.methods)
@@ -125,6 +141,8 @@ def cmd_synthetic(args) -> int:
 
 
 def cmd_tcep(args) -> int:
+    from .tcep import evaluate_tcep, load_tcep
+    _log_to_stderr()
     config = _config_from_args(args)
     methods = parse_methods(args.methods)
     pairs = load_tcep(args.directory)
@@ -159,6 +177,8 @@ def cmd_tcep(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    from .bench import parse_cells, run_ablation
+    _log_to_stderr()
     config = _config_from_args(args)
     cells = parse_cells(args.cells)
     started = time.monotonic()
@@ -182,6 +202,9 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    import numpy as np
+
+    from .theory import FiniteBasisDensity, construct_equal_norm_density, verify_lemma1
     rng = np.random.default_rng(args.seed)
     stationary = (rbf(), log_kernel(), rational_quadratic())
     max_stationary_gap = 0.0
@@ -310,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,7 +9,8 @@ pipeline uses the product form.
 
 All inputs are scalar observations; kernels are evaluated on 1-D samples,
 and ``gram`` returns a plain read-only n x n array. ``ColumnCache`` holds the
-Grams and method parts that the scores of one or more datasets share.
+Grams, entropies and method parts that the scores of one or more datasets
+share.
 """
 
 from __future__ import annotations
@@ -226,21 +227,22 @@ def center(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class ColumnCache:
-    """Arrays built from data columns, each keyed by its column's bytes, so
-    an entry serves only a column with the same bits. ``gram`` keeps a
-    column's Gram under a kernel spec until ``evict``. ``part`` stores a
-    method's part only for a column of ``keep`` and only after ``build``
-    returned; ``owner`` names the method and the part, so two methods never
-    read each other's parts. The entries of ``keep``'s columns, those that
-    every dataset sharing the cache holds bit for bit (a synthetic trial's
-    cause), outlive ``evict``. One cache serves one run configuration."""
+    """Values built from data columns, each keyed by its column's bytes, so
+    an entry serves only a column with the same bits. ``held`` keeps an
+    entry (a column's Gram under a kernel spec, or its IGCI entropy) until
+    ``evict``. ``part`` stores a method's part only for a column of ``keep``
+    and only after ``build`` returned; ``owner`` names the method and the
+    part, so two methods never read each other's parts. The entries of
+    ``keep``'s columns, those that every dataset sharing the cache holds bit
+    for bit (a synthetic trial's cause), outlive ``evict``. One cache serves
+    one run configuration."""
 
     def __init__(self, keep=()):
         self._keep = frozenset(column.tobytes() for column in keep)
         self._entries = {}
 
-    def gram(self, spec: KernelSpec, column: np.ndarray, build) -> np.ndarray:
-        key = spec, column.tobytes()
+    def held(self, key, column: np.ndarray, build):
+        key = key, column.tobytes()
         if key not in self._entries:
             self._entries[key] = build()
         return self._entries[key]

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .baselines import _anm_score, _kcdc_score, igci_score, IgciReference, roles
+from .baselines import _anm_score, _igci_score, _kcdc_score, IgciReference, roles
 from .blas import one_thread
 from .config import RunConfig
 from .embeddings import reweighted_cond_matrix, reweighting_vector, ridge_factorization
@@ -216,7 +216,7 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
     names = roles(direction)
     grams = []
     for spec, name in zip((config.kernel_x, config.kernel_y), names):
-        grams.append(cache.gram(spec, getattr(dataset, name),
+        grams.append(cache.held(spec, getattr(dataset, name),
                                 lambda: gram(spec, dataset.standardized(name))))
     Kx, Ky = grams
     if reweighted:
@@ -250,9 +250,11 @@ def _direction_score(dataset, direction, method: Method, config, cache) -> Direc
     if method is Method.KCDC:
         return DirectionScore(score=_kcdc_score(dataset, direction, config, cache))
     if method is Method.IGCI_GAUSS:
-        return DirectionScore(score=igci_score(dataset, direction, IgciReference.GAUSSIAN))
+        return DirectionScore(score=_igci_score(dataset, direction, IgciReference.GAUSSIAN,
+                                                cache))
     if method is Method.IGCI_UNIFORM:
-        return DirectionScore(score=igci_score(dataset, direction, IgciReference.UNIFORM))
+        return DirectionScore(score=_igci_score(dataset, direction, IgciReference.UNIFORM,
+                                                cache))
     return DirectionScore(score=_anm_score(dataset, direction, config, cache))
 
 
@@ -279,7 +281,8 @@ def infer_direction(dataset: PairedDataset, method,
     """Score both directions with identical settings and compare.
 
     Smaller score wins; ties within the tolerance are Undecided (see ``_decide``).
-    Both directions run on one BLAS thread (``blas.one_thread``) and share Grams.
+    Both directions run on one BLAS thread (``blas.one_thread``) and share
+    each column's Gram or IGCI entropy.
     """
     return _decision(dataset, Method(method), config, ColumnCache())
 
@@ -301,10 +304,10 @@ def score_datasets(datasets, methods, config: RunConfig) -> tuple:
     each group on a ``ColumnCache`` that keeps the columns every one of the
     datasets holds bit for bit: the cause of a synthetic trial, and nothing
     for a lone dataset. After each dataset the cache drops the rest. So a
-    trial builds its cause's Gram and its Rw-KIIM, KCDC and ANM cause parts
-    (KCDC's output Gram too) once, and every outcome is that of its dataset
-    scored alone. A lone dataset holds the working set of one decision, at
-    most four n x n arrays, and a trial at most five.
+    trial builds its cause's Gram, its Rw-KIIM, KCDC and ANM cause parts
+    (KCDC's output Gram too) and its IGCI entropies once, and every outcome
+    is that of its dataset scored alone. A lone dataset holds the working
+    set of one decision, at most four n x n arrays, and a trial at most five.
     """
     methods = [Method(m) for m in methods]
     keep = ()

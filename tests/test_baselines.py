@@ -7,9 +7,9 @@ from scipy.special import digamma
 import oracles
 from kiim import (ConfigurationError, Direction, IgciReference, Mechanism,
                   MechanismSpec, Method, Noise, PairedDataset, RunConfig, anm_score,
-                  build_config, generate, gram, hsic, igci_score, infer_direction,
+                  baselines, build_config, generate, gram, hsic, igci_score, infer_direction,
                   kcdc_score, rbf, run_synthetic, spacing_entropy)
-from kiim.baselines import _kcdc_coeffs, _kcdc_spread, roles
+from kiim.baselines import _kcdc_coeffs, _kcdc_spread, _reference_normalize, roles
 
 
 def _cell_accuracy(results):
@@ -163,6 +163,31 @@ def test_igci_references_disagree_in_general():
     gauss = igci_score(ds, Direction.X_TO_Y, IgciReference.GAUSSIAN)
     uniform = igci_score(ds, Direction.X_TO_Y, IgciReference.UNIFORM)
     assert gauss != uniform
+
+
+@pytest.mark.parametrize("method", [Method.IGCI_GAUSS, Method.IGCI_UNIFORM])
+def test_an_igci_decision_estimates_each_columns_entropy_once(method, monkeypatch):
+    reference = IgciReference.GAUSSIAN if method is Method.IGCI_GAUSS else IgciReference.UNIFORM
+    ds = generate(MechanismSpec(Mechanism.ANM1, Noise.GAUSSIAN, n=60, seed=3))
+    h_x, h_y = (spacing_entropy(_reference_normalize(ds, name, reference))
+                for name in ("xs", "ys"))
+    calls = []
+
+    def spy(values, _original=baselines.spacing_entropy):
+        calls.append(values)
+        return _original(values)
+
+    monkeypatch.setattr(baselines, "spacing_entropy", spy)
+    decision = infer_direction(ds, method)
+    assert len(calls) == 2
+    # Each direction is H(effect) - H(cause) of the two estimates, bit for bit.
+    assert decision.score_xy.score.hex() == (h_y - h_x).hex()
+    assert decision.score_yx.score.hex() == (h_x - h_y).hex()
+    # Columns with the same bits share one estimate, and both scores are +0.0.
+    calls.clear()
+    same = infer_direction(PairedDataset(ds.xs, ds.xs.copy()), method)
+    assert len(calls) == 1
+    assert [math.copysign(1.0, s.score) for s in (same.score_xy, same.score_yx)] == [1.0, 1.0]
 
 
 # ----------------------------------------------------------------------- HSIC

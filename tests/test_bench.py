@@ -342,6 +342,20 @@ def test_a_trial_makes_kcdc_and_anm_cause_parts_once(monkeypatch):
     assert [spec for spec, _ in grams].count(config.kcdc_output_kernel) == 1 + 3
 
 
+def test_a_ten_cell_trial_estimates_each_igci_entropy_once(monkeypatch):
+    """Ten cells with one cause, six methods: each IGCI reference estimates
+    the cause's entropy once and each effect's once, 2 x (1 + 10) calls,
+    where estimating both columns in both directions of every decision made
+    80. Every score is the one its dataset gets scored alone."""
+    datasets = [generate(MechanismSpec(m, z, n=60, seed=5)) for m, z in table1_grid()]
+    methods = list(Method)
+    alone = [_alone(dataset, methods) for dataset in datasets]
+    calls = _count_calls(monkeypatch, baselines, ("spacing_entropy",))["spacing_entropy"]
+    outcomes = score_datasets(datasets, methods, RunConfig())
+    assert len(calls) == 2 * (1 + 10)
+    assert [_hex(per_method) for per_method in _per_dataset(outcomes, methods)] == alone
+
+
 def test_a_trial_whose_causes_differ_scores_each_dataset_as_alone(monkeypatch):
     generate = kiim.bench.generate
 

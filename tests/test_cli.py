@@ -413,27 +413,49 @@ def test_a_fresh_cli_run_loads_lapack_without_the_scipy_linalg_package(pair_file
     # The test process imports scipy.linalg itself, so only a fresh
     # interpreter shows what a command loads. scipy.linalg's __init__ would
     # pull in numpy.f2py and numpy.testing, and scipy.special would add about
-    # 3.6 MB to every run's resident set.
+    # 3.6 MB to every run's resident set. An infer imports no pool, logging or
+    # benchmark module, and its OpenBLAS copies load on one thread, so the
+    # process runs as one OS thread; the caller's environment is left as it was.
     probe = textwrap.dedent("""
-        import json, sys
+        import json, os, sys
+        environ = dict(os.environ)
         import kiim.cli
         from kiim import blas
         code = kiim.cli.main(["infer", sys.argv[1]])
         loaded = [name for name in ("scipy.linalg", "numpy.f2py", "numpy.testing",
-                                    "scipy.special") if name in sys.modules]
+                                    "scipy.special", "concurrent.futures", "multiprocessing",
+                                    "logging", "kiim.bench", "kiim.tcep", "kiim.theory",
+                                    "kiim.synthdata") if name in sys.modules]
+        threads = (len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task")
+                   else None)
+        counts = blas.thread_counts()
+        restored = dict(os.environ) == environ
         import scipy.linalg.lapack
         same = [name for name in sys.argv[2:]
                 if getattr(scipy.linalg.lapack, name) is getattr(blas.lapack, name)]
-        print(json.dumps([code, loaded, same, len(blas.thread_counts())]))
+        print(json.dumps([code, loaded, same, counts, threads, restored]))
     """)
     routines = ["dlange", "dpotrf", "dpocon", "dgetrf", "dgecon", "dpotrs", "dgetrs"]
     src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run([sys.executable, "-c", probe, str(pair_file), *routines],
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    code, loaded, same, controls = json.loads(result.stdout.splitlines()[-1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    runs = []
+    for caller in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        result = subprocess.run([sys.executable, "-c", probe, str(pair_file), *routines],
+                                capture_output=True, text=True,
+                                env={**env, **caller, "PYTHONPATH": str(src)}, check=True)
+        *infer_stdout, last = result.stdout.splitlines(keepends=True)
+        runs.append(("".join(infer_stdout), *json.loads(last)))
+    (single_stdout, code, loaded, same, counts, threads, restored), caller_two = runs
     assert code == 0
     assert loaded == []
     assert same == routines
+    assert threads in (1, None)
+    assert restored
     if both_wheel_openblas:
-        assert controls == 2
+        assert counts == [1, 1]
+    two_stdout, code, _, _, counts, _, restored = caller_two
+    assert two_stdout == single_stdout
+    assert code == 0
+    assert restored
+    if both_wheel_openblas and (os.cpu_count() or 1) >= 2:
+        assert counts == [2, 2]
