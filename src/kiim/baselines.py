@@ -1,9 +1,9 @@
-"""Baseline direction scorers: conditional-deviance, entropy-comparison,
-and regression-residual-independence methods.
+"""The private baseline scorers (conditional deviance, entropy comparison,
+regression-residual independence), ``hsic``, ``spacing_entropy`` and ``roles``.
 
-Every scorer returns a plain real number for one direction; smaller wins
-when both directions are compared. Entropy-comparison scores may be
-negative, the other two are nonnegative.
+Each scorer returns a real number for one direction; smaller wins. Entropy
+comparisons may be negative, the other two are not. Their one entry, which
+checks the sample size, is ``kiim.scoring._direction_score``.
 """
 
 from __future__ import annotations
@@ -46,19 +46,11 @@ def _kcdc_spread(A: np.ndarray, Ky: np.ndarray) -> float:
     return float(norms.var())
 
 
-def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
-    """Deviance of conditional embeddings of the effect given the cause,
-    with ridge ``config.lam`` on the embedding solves."""
-    return _kcdc_score(dataset, direction, config, ColumnCache())
-
-
 def _kcdc_score(dataset: PairedDataset, direction, config: RunConfig,
                 cache: ColumnCache) -> float:
-    """``kcdc_score``, with the cause's A and the effect's Gram as KCDC's
-    parts in ``cache`` (``ColumnCache.part``). The cause's Gram and factor
-    are freed before the effect's Gram is built."""
-    if dataset.n < 5:
-        raise ValueError("deviance score needs at least 5 paired samples")
+    """``scoring.kcdc_score``, with the cause's A and the effect's Gram as
+    KCDC's parts in ``cache`` (``ColumnCache.part``). The cause's Gram and
+    factor are freed before the effect's Gram is built."""
     cause, effect = roles(direction)
     x, y = dataset.standardized(cause), dataset.standardized(effect)
     A = cache.part("KCDC coeffs", getattr(dataset, cause),
@@ -99,24 +91,11 @@ def _reference_normalize(dataset: PairedDataset, column: str,
     return (values - lo) / (hi - lo)
 
 
-def igci_score(dataset: PairedDataset, direction,
-               reference: IgciReference = IgciReference.GAUSSIAN) -> float:
-    """Entropy difference H(effect) - H(cause) after reference normalization.
-
-    Negative values favor the scored direction; the smaller of the two
-    directional scores wins, consistent with the other scorers.
-    """
-    return _igci_score(dataset, direction, reference, ColumnCache())
-
-
 def _igci_score(dataset: PairedDataset, direction, reference: IgciReference,
                 cache: ColumnCache) -> float:
-    """``igci_score``, with each column's entropy held in ``cache``
+    """``scoring.igci_score``, with each column's entropy held in ``cache``
     (``ColumnCache.held``), so a decision estimates each column's entropy
     once."""
-    reference = IgciReference(reference)
-    if dataset.n < 10:
-        raise ValueError("entropy comparison needs at least 10 paired samples")
     h_cause, h_effect = (
         cache.held(("IGCI entropy", reference), getattr(dataset, name),
                    lambda: spacing_entropy(_reference_normalize(dataset, name, reference)))
@@ -159,22 +138,10 @@ def _anm_fit(x: np.ndarray, config: RunConfig) -> tuple:
     return K, ridge_factorization(K, config.anm_ridge)
 
 
-def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
-    """Dependence between cause and the residual of a kernel ridge fit.
-
-    Fits effect = f(cause) by kernel ridge regression and returns
-    hsic(cause, residual); an additive-noise pair fit in the causal
-    direction leaves residuals nearly independent of the cause.
-    """
-    return _anm_score(dataset, direction, config, ColumnCache())
-
-
 def _anm_score(dataset: PairedDataset, direction, config: RunConfig,
                cache: ColumnCache) -> float:
-    """``anm_score``, with the cause's (Gram, factor) pair as ANM's part in
-    ``cache`` (``ColumnCache.part``)."""
-    if dataset.n < 10:
-        raise ValueError("regression score needs at least 10 paired samples")
+    """``scoring.anm_score``, with the cause's (Gram, factor) pair as ANM's
+    part in ``cache`` (``ColumnCache.part``)."""
     cause, effect = roles(direction)
     x, y = dataset.standardized(cause), dataset.standardized(effect)
     K, factor = cache.part("ANM fit", getattr(dataset, cause), lambda: _anm_fit(x, config))

@@ -2,7 +2,7 @@
 the cause-effect-pairs benchmark, the rank ablation, and the lemma checks.
 
 Exit codes: 0 success or a decided direction, 1 input or configuration
-error, 2 Undecided (infer only), 3 numerical failure.
+error or out of memory, 2 Undecided (infer only), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -343,8 +343,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, IngestionError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, IngestionError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or repr(exc)}", file=sys.stderr)
         return 1
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 
 #: Bandwidth marker resolved against a sample set before evaluation.
 MEDIAN = "median"
@@ -47,10 +47,11 @@ _COMPOSITES = (KernelFamily.COMPOSITE_PRODUCT, KernelFamily.COMPOSITE_SUM)
 class KernelSpec:
     """Declarative kernel description: family plus its parameters.
 
-    ``bandwidth`` is a finite positive width or the ``MEDIAN`` marker (RBF
-    only), ``degree`` an integer >= 1 for the polynomial family, ``parts``
-    the parts of the two composite families. ``bool`` is neither a width nor
-    a degree, so every spec prints as text that ``parse_kernel`` reads back.
+    ``bandwidth`` is a positive width whose square is finite and nonzero in
+    float64, or the ``MEDIAN`` marker (RBF only), ``degree`` an integer >= 1
+    for the polynomial family, ``parts`` the parts of the two composite
+    families. ``bool`` is neither a width nor a degree, so every spec prints
+    as text that ``parse_kernel`` reads back.
     """
 
     family: KernelFamily
@@ -67,8 +68,9 @@ class KernelSpec:
         if fam is KernelFamily.RBF:
             bw = self.bandwidth
             if bw != MEDIAN and not (isinstance(bw, (int, float)) and not isinstance(bw, bool)
-                                     and 0 < bw < math.inf):
-                raise ValueError("RBF bandwidth must be finite and positive or the median marker")
+                                     and 0 < bw and 0.0 < _square(bw) < math.inf):
+                raise ValueError("RBF bandwidth must be positive with a finite nonzero square, "
+                                 "or the median marker")
         elif self.bandwidth is not None:
             raise ValueError(f"{fam.value} kernel takes no bandwidth")
         if fam is KernelFamily.POLYNOMIAL:
@@ -83,6 +85,14 @@ class KernelSpec:
             object.__setattr__(self, "parts", tuple(self.parts))
         elif self.parts:
             raise ValueError(f"{fam.value} kernel takes no parts")
+
+
+def _square(width) -> float:
+    """``width**2`` in float64: ``inf`` where it overflows, 0.0 where it underflows."""
+    try:
+        return float(width) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def rbf(bandwidth: float | str = MEDIAN) -> KernelSpec:
@@ -202,7 +212,8 @@ def gram(spec: KernelSpec, samples) -> np.ndarray:
     Rows are evaluated in blocks of about ``_BLOCK_ELEMENTS`` entries into
     one output array, so the temporaries of each kernel part are block-sized
     rather than n x n; every entry is computed by the same operations either
-    way.
+    way. They are evaluated without numpy warnings: an entry that overflows
+    or is undefined raises ``NumericalError`` instead.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
@@ -211,9 +222,12 @@ def gram(spec: KernelSpec, samples) -> np.ndarray:
     values = np.empty((xs.size, xs.size))
     step = max(1, _BLOCK_ELEMENTS // xs.size)
     b = xs[None, :]
-    for start in range(0, xs.size, step):
-        a = xs[start:start + step, None]
-        values[start:start + step] = _evaluate(spec, a, b, (a - b) ** 2)
+    with np.errstate(all="ignore"):
+        for start in range(0, xs.size, step):
+            a = xs[start:start + step, None]
+            values[start:start + step] = _evaluate(spec, a, b, (a - b) ** 2)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{spec.family.value} kernel Gram has an entry that is not finite")
     values.setflags(write=False)
     return values
 

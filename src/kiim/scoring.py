@@ -211,8 +211,6 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
     column standardized under its kernel spec, so calls that share it build
     each Gram once. Rw-KIIM's coefficients for a cause column, an n x n
     array more, are its part (``ColumnCache.part``)."""
-    if dataset.n < 5:
-        raise ValueError("invariance score needs at least 5 paired samples")
     names = roles(direction)
     grams = []
     for spec, name in zip((config.kernel_x, config.kernel_y), names):
@@ -233,6 +231,7 @@ def _invariance_factor(dataset: PairedDataset, direction, config: RunConfig,
 def invariance_matrix(dataset: PairedDataset, direction, config: RunConfig,
                       reweighted: bool = False) -> np.ndarray:
     """M = B^T B for one direction of a dataset."""
+    check_sample_size((Method.RW_KIIM if reweighted else Method.KIIM,), dataset.n)
     B = _invariance_factor(dataset, direction, config, reweighted, ColumnCache())
     return B.T @ B
 
@@ -243,19 +242,47 @@ def kiim_score(dataset: PairedDataset, direction,
     return _direction_score(dataset, direction, Method.KIIM, config, ColumnCache())
 
 
+def kcdc_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
+    """Deviance of conditional embeddings of the effect given the cause,
+    with ridge ``config.lam`` on the embedding solves."""
+    return _direction_score(dataset, direction, Method.KCDC, config, ColumnCache()).score
+
+
+def igci_score(dataset: PairedDataset, direction,
+               reference: IgciReference = IgciReference.GAUSSIAN) -> float:
+    """Entropy difference H(effect) - H(cause) after reference normalization.
+
+    Negative values favor the scored direction; the smaller of the two
+    directional scores wins, consistent with the other scorers.
+    """
+    method = (Method.IGCI_GAUSS if IgciReference(reference) is IgciReference.GAUSSIAN
+              else Method.IGCI_UNIFORM)
+    return _direction_score(dataset, direction, method, RunConfig(), ColumnCache()).score
+
+
+def anm_score(dataset: PairedDataset, direction, config: RunConfig = RunConfig()) -> float:
+    """Dependence between cause and the residual of a kernel ridge fit.
+
+    Fits effect = f(cause) by kernel ridge regression and returns
+    hsic(cause, residual); an additive-noise pair fit in the causal
+    direction leaves residuals nearly independent of the cause.
+    """
+    return _direction_score(dataset, direction, Method.ANM, config, ColumnCache()).score
+
+
 def _direction_score(dataset, direction, method: Method, config, cache) -> DirectionScore:
+    """The one entry to every directional score, and the one place that
+    checks its size (``check_sample_size``)."""
+    check_sample_size((method,), dataset.n)
     if method in (Method.KIIM, Method.RW_KIIM):
         B = _invariance_factor(dataset, direction, config, method is Method.RW_KIIM, cache)
         return factor_score(B, config.energy_threshold)
     if method is Method.KCDC:
         return DirectionScore(score=_kcdc_score(dataset, direction, config, cache))
-    if method is Method.IGCI_GAUSS:
-        return DirectionScore(score=_igci_score(dataset, direction, IgciReference.GAUSSIAN,
-                                                cache))
-    if method is Method.IGCI_UNIFORM:
-        return DirectionScore(score=_igci_score(dataset, direction, IgciReference.UNIFORM,
-                                                cache))
-    return DirectionScore(score=_anm_score(dataset, direction, config, cache))
+    if method is Method.ANM:
+        return DirectionScore(score=_anm_score(dataset, direction, config, cache))
+    reference = IgciReference.GAUSSIAN if method is Method.IGCI_GAUSS else IgciReference.UNIFORM
+    return DirectionScore(score=_igci_score(dataset, direction, reference, cache))
 
 
 def _decide(score_xy: float, score_yx: float, tie_tolerance: float) -> Direction:
@@ -335,6 +362,7 @@ def rank_ablation(dataset: PairedDataset, d_max: int,
     (``blas.one_thread``); each d then slices the sorted eigenvalues
     directly, bypassing the energy rule.
     """
+    check_sample_size((Method.KIIM,), dataset.n)
     if not 0 <= d_max < dataset.n:
         raise ValueError("d_max must lie in [0, n)")
     cache, spectra = ColumnCache(), []

@@ -161,6 +161,68 @@ def test_infer_numerical_failure_exits_three(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,settings", [
+    (["infer", "{pair}", "--kernel-x", "rbf:1e200"], None),
+    (["infer", "{pair}", "--method", "anm"], "anm.kernel = rbf:1e180"),
+    (["infer", "{pair}", "--kernel-x", "rbf:1e-170"], None),
+    (["infer", "{pair}", "--method", "kcdc"], "kcdc.kernel_in = rbf:1e-200"),
+    (["infer", "{pair}", "--kernel-y", "rbf:1e-200", "--method", "rw-kiim"], None),
+    (["synthetic", "--cells", "ANM1:Gaussian", "--kernel-x", "rbf:1e200", "--trials", "2"], None),
+    (["synthetic", "--cells", "ANM1:Gaussian", "--kernel-x", "rbf:1e200", "--trials", "2",
+      "--jobs", "2"], None),
+], ids=["x-1e200", "anm-config-1e180", "x-1e-170", "kcdc-config-1e-200", "rw-kiim-y-1e-200",
+        "synthetic", "synthetic-jobs2"])
+def test_an_rbf_width_whose_square_overflows_or_vanishes_is_a_bad_kernel(
+        argv, settings, pair_file, tmp_path, capsys):
+    # Rejected before any work: no OverflowError traceback, no RuntimeWarning, no report.
+    argv = [a.format(pair=pair_file) for a in argv]
+    if settings:
+        (tmp_path / "run.cfg").write_text(settings + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "runs"
+    if argv[0] == "synthetic":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad kernel 'rbf:1e")
+    assert "finite nonzero square" in captured.err
+    assert not captured.out
+    assert not out.exists()
+
+
+def test_an_overflowing_gram_is_a_numerical_failure(tmp_path, capsys):
+    # (x x' + 1)^200 overflows at the standardized outlier (about 6.9): exit 3, no warning.
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal(50)
+    xs[7] = 40.0
+    path = tmp_path / "pair.txt"
+    write_pair_text(path, PairedDataset(xs, xs**2 + rng.standard_normal(50)))
+    assert main(["infer", str(path), "--kernel-x", "poly:200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: poly kernel Gram has an entry that is not finite\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["infer", "{pair}"], "kiim.cli.infer_direction"),
+    (["synthetic", "--cells", "ANM1:Gaussian", "--trials", "2", "--n", "100000000000",
+      "--out-dir", "{out}"], "kiim.bench.generate"),
+], ids=["infer", "synthetic"])
+def test_running_out_of_memory_exits_one(argv, target, pair_file, tmp_path, monkeypatch,
+                                         capsys):
+    # Nothing is allocated: the scoring or drawing step raises as numpy would.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(target, out_of_memory)
+    assert main([a.format(pair=pair_file, out=tmp_path / "runs") for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith("error: Unable to allocate 745. GiB for an array with shape "
+                                 "(100000000000,)\n")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "runs").exists()
+
+
 def _run_synthetic(out_dir, seed="3"):
     return main(["synthetic", "--cells", "ANM1:Gaussian", "--methods", "kiim,anm",
                  "--trials", "3", "--n", "40", "--seed", seed,

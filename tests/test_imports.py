@@ -15,8 +15,7 @@ import kiim
 # Every name the package exported when its __init__ still imported every
 # submodule, by the submodule that defines it.
 EXPORTED = {
-    "baselines": ["IgciReference", "anm_score", "hsic", "igci_score", "kcdc_score",
-                  "spacing_entropy"],
+    "baselines": ["IgciReference", "hsic", "spacing_entropy"],
     "bench": ["AblationCellResult", "CellResult", "parse_cells", "run_ablation",
               "run_synthetic"],
     "config": ["RunConfig", "build_config", "config_digest", "kernel_to_text", "parse_kernel",
@@ -28,9 +27,10 @@ EXPORTED = {
                 "rational_quadratic", "rbf", "resolve"],
     "pairs": ["Direction", "PairedDataset", "load_pair_dataset", "read_pair_file",
               "standardize", "write_pair_text"],
-    "scoring": ["CausalDecision", "DirectionScore", "Method", "Spectrum", "energy_rank_score",
-                "fixed_discard_score", "infer_direction", "invariance_matrix", "kiim_matrix",
-                "kiim_score", "rank_ablation", "sym_eig"],
+    "scoring": ["CausalDecision", "DirectionScore", "Method", "Spectrum", "anm_score",
+                "energy_rank_score", "fixed_discard_score", "igci_score", "infer_direction",
+                "invariance_matrix", "kcdc_score", "kiim_matrix", "kiim_score", "rank_ablation",
+                "sym_eig"],
     "synthdata": ["Mechanism", "MechanismSpec", "Noise", "generate", "table1_grid"],
     "tcep": ["MethodAccuracy", "PairResult", "TcepPair", "TcepReport", "evaluate_tcep",
              "load_tcep"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from kiim import (MEDIAN, KernelSpec, KernelFamily, center, default_composite,
+from kiim import (MEDIAN, KernelSpec, KernelFamily, NumericalError, center, default_composite,
                   gram, kernel_sum, log_kernel, median_heuristic, polynomial, product,
                   rational_quadratic, rbf, resolve)
 
@@ -58,13 +58,29 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("make", [lambda: rbf(math.inf), lambda: rbf(True),
-                                  lambda: polynomial(True)],
-                         ids=["rbf-inf", "rbf-bool", "poly-bool"])
+                                  lambda: polynomial(True), lambda: rbf(1e200),
+                                  lambda: rbf(np.float64(1e200)), lambda: rbf(10**400),
+                                  lambda: rbf(1e-170)],
+                         ids=["rbf-inf", "rbf-bool", "poly-bool", "rbf-square-inf",
+                              "rbf-numpy-square-inf", "rbf-int-square-inf", "rbf-square-0"])
 def test_spec_rejects_parameters_parse_kernel_rejects(make):
     # An infinite width gives an all-ones Gram and prints as "rbf:inf";
     # a bool passes as an int and prints as "rbf:True" or "poly:True".
+    # A width whose square overflows or underflows would divide by inf or 0.
     with pytest.raises(ValueError):
         make()
+
+
+def test_a_gram_that_overflows_is_a_numerical_error():
+    # (40 * 40 + 1)^200 overflows; it raises with no numpy warning.
+    with pytest.raises(NumericalError, match="poly kernel Gram has an entry that is not finite"):
+        gram(polynomial(200), [0.0, 1.0, 40.0])
+    with pytest.raises(NumericalError, match="log kernel"):
+        gram(log_kernel(), [-1e200, 1e200])
+    # A median width whose square underflows is rejected as it resolves.
+    with pytest.raises(ValueError, match="finite nonzero square"):
+        gram(rbf(), [0.0, 1e-170, 2e-170])
+    assert np.isfinite(gram(polynomial(200), [0.0, 1.0, 2.0])).all()
 
 
 def test_median_heuristic_single_pair():

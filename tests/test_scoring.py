@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 import oracles
 from adversarial_fixture import real_pair_shapes
-from kiim import (CausalDecision, Direction, Mechanism, MechanismSpec, Method, Noise,
-                  NumericalError, PairedDataset, RunConfig, Spectrum, generate, table1_grid,
-                  energy_rank_score, fixed_discard_score, gram, infer_direction,
-                  invariance_matrix, kiim_matrix, kiim_score,
-                  median_heuristic, rank_ablation, rbf, standardize, sym_eig)
+from kiim import (CausalDecision, Direction, IgciReference, Mechanism, MechanismSpec, Method,
+                  Noise, NumericalError, PairedDataset, RunConfig, Spectrum, generate,
+                  table1_grid, anm_score, energy_rank_score, fixed_discard_score, gram,
+                  igci_score, infer_direction, invariance_matrix, kcdc_score, kiim_matrix,
+                  kiim_score, median_heuristic, rank_ablation, rbf, standardize, sym_eig)
 from kiim import baselines, scoring
 from kiim.errors import TRIAL_ERRORS
-from kiim.scoring import MIN_SAMPLES, _coeffs_factor, _decide, factor_score, score_datasets
+from kiim.scoring import (MIN_SAMPLES, _CACHE_GROUPS, _coeffs_factor, _decide, factor_score,
+                          score_datasets)
 
 
 def _spectrum(vals):
@@ -477,6 +478,16 @@ def test_swap_exchanges_direction_scores(method):
     assert swapped.direction is flip[decision.direction]
 
 
+# Each method's own public per-direction score; Rw-KIIM has none.
+_DOORS = {
+    Method.KIIM: kiim_score,
+    Method.KCDC: kcdc_score,
+    Method.IGCI_GAUSS: lambda ds, direction: igci_score(ds, direction, IgciReference.GAUSSIAN),
+    Method.IGCI_UNIFORM: lambda ds, direction: igci_score(ds, direction, IgciReference.UNIFORM),
+    Method.ANM: anm_score,
+}
+
+
 @pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
 def test_direction_score_minimum_sample_size(method):
     n = MIN_SAMPLES[method]
@@ -484,8 +495,29 @@ def test_direction_score_minimum_sample_size(method):
     ds = PairedDataset(rng.standard_normal(n), rng.standard_normal(n))
     assert np.isfinite(infer_direction(ds, method, RunConfig()).score_xy.score)
     smaller = PairedDataset(ds.xs[:-1], ds.ys[:-1])
-    with pytest.raises(ValueError):
-        infer_direction(smaller, method, RunConfig())
+    # One sample short fails with the run-level message at every entry.
+    message = f"{method.value} needs at least {n} paired samples, got {n - 1}"
+    entries = [lambda: infer_direction(smaller, method, RunConfig())]
+    for d in (Direction.X_TO_Y, Direction.Y_TO_X):
+        if method in _DOORS:
+            entries.append(lambda d=d: _DOORS[method](smaller, d))
+        if method in (Method.KIIM, Method.RW_KIIM):
+            entries.append(lambda d=d: invariance_matrix(smaller, d, RunConfig(),
+                                                         reweighted=method is Method.RW_KIIM))
+    if method is Method.KIIM:
+        entries.append(lambda: rank_ablation(smaller, 0))
+    for entry in entries:
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == message
+    assert score_datasets([smaller], [method], RunConfig()) == ((None, message),)
+
+
+def test_every_method_has_a_minimum_and_one_cache_group():
+    # score_datasets would miss a method outside every group with a late KeyError.
+    assert set(MIN_SAMPLES) == set(Method)
+    for method in Method:
+        assert sum(method in group for group in _CACHE_GROUPS) == 1, method
 
 
 # Derandomized with no example database: every run searches the same inputs.
