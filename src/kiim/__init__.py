@@ -21,7 +21,7 @@ _EXPORTS = {
     "errors": ("ConfigurationError", "IngestionError", "NumericalError", "TangencyError"),
     "kernels": ("MEDIAN", "KernelFamily", "KernelSpec", "center", "default_composite", "gram",
                 "kernel_sum", "log_kernel", "median_heuristic", "polynomial", "product",
-                "rational_quadratic", "rbf", "resolve"),
+                "rational_quadratic", "rbf"),
     "pairs": ("Direction", "PairedDataset", "load_pair_dataset", "read_pair_file",
               "standardize", "write_pair_text"),
     "scoring": ("CausalDecision", "DirectionScore", "Method", "Spectrum", "anm_score",

@@ -23,6 +23,37 @@ from .config import RunConfig
 from .errors import NumericalError
 from .kernels import center
 
+_EPS = float(np.finfo(float).eps)
+#: The smallest normal float64.
+_TINY = float(np.finfo(float).tiny)
+
+
+def _cholesky_ruled_out(row: np.ndarray, diag: np.ndarray) -> bool:
+    """Whether row 0 of the upper triangle of M, which ``dpotrf`` reads,
+    proves that ``dpotrf`` would fail: M_00 <= 0 (or NaN), or
+    M_0j^2 >= 2 M_00 M_jj for some j >= 1. Either way the principal minor on
+    rows {0, j} is not positive definite, so ``dpotrf`` fails by column
+    j + 1, where its pivot is at most M_jj - M_0j^2 / M_00: the factor 2
+    keeps that negative through the rounding of both. A bound 2 M_00 M_jj
+    that overflowed proves nothing, and one that underflowed is raised to
+    the smallest normal number.
+
+    j = 1 is tested first, in Python floats, which over- and underflow
+    without a warning: it settles most indefinite systems for less than the
+    doomed attempt would cost (3 us at n = 100, and an n x n copy)."""
+    m00 = float(row[0])
+    if not m00 > 0.0:
+        return True
+    if row.size == 1:
+        return False
+    m01, bound = float(row[1]), max(2.0 * m00 * float(diag[1]), _TINY)
+    if m01 * m01 >= bound and bound < math.inf:
+        return True
+    with np.errstate(all="ignore"):
+        bound = np.maximum(diag[2:] * (2.0 * m00), _TINY)
+        square = np.square(row[2:])
+    return bool(((square >= bound) & (bound < np.inf)).any())
+
 
 class _Factorization:
     """Factorization of (matrix + shift I).
@@ -39,9 +70,10 @@ class _Factorization:
 
     ``matrix`` is a private F-order array: the shift goes onto its diagonal
     and the LU overwrites it, so the factor costs no n x n array beyond it.
-    Tries Cholesky (``dpotrf``) first, on a transient copy; the default
-    composite kernel is indefinite, so a partial-pivot LU (``dgetrf``)
-    fallback is routine rather than exceptional. Either factor is judged by
+    Tries Cholesky (``dpotrf``) first, on a transient copy, unless row 0
+    already rules it out (``_cholesky_ruled_out``); the default composite
+    kernel is indefinite, so a partial-pivot LU (``dgetrf``) is routine
+    rather than exceptional. Either factor is judged by
     LAPACK's estimate of its reciprocal 1-norm condition number (``dpocon``
     or ``dgecon``; 0 for an exactly singular LU), and a numerical error
     carrying 1 / rcond is raised when rcond <= n eps.
@@ -50,10 +82,13 @@ class _Factorization:
     def __init__(self, matrix: np.ndarray, shift: float):
         if not 0.0 < shift < math.inf:
             raise ValueError("ridge shift must be positive and finite")
-        self._n = matrix.shape[0]
-        matrix[np.diag_indices(self._n)] += shift
+        n = matrix.shape[0]
+        diag = np.ndarray((n,), buffer=matrix, strides=((n + 1) * matrix.itemsize,))
+        diag += shift
         anorm = lapack.dlange("1", matrix)
-        c, info = lapack.dpotrf(matrix, lower=False, clean=False)
+        info = 1
+        if not _cholesky_ruled_out(matrix[0], diag):
+            c, info = lapack.dpotrf(matrix, lower=False, clean=False)
         if info == 0:
             self._kind, self._fac = "cholesky", (c, False)
             rcond, _ = lapack.dpocon(c, anorm, uplo="U")
@@ -61,7 +96,7 @@ class _Factorization:
             lu, piv, info = lapack.dgetrf(matrix, overwrite_a=True)
             self._kind, self._fac = "lu", (lu, piv)
             rcond = 0.0 if info > 0 else lapack.dgecon(lu, anorm)[0]
-        if not rcond > np.finfo(float).eps * self._n:  # NaN fails too
+        if not rcond > _EPS * n:  # NaN fails too
             raise NumericalError("matrix is numerically singular despite ridge",
                                  condition_estimate=math.inf if rcond == 0 else 1.0 / rcond)
 

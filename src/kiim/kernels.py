@@ -15,7 +15,6 @@ share.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,8 +23,11 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 
-#: Bandwidth marker resolved against a sample set before evaluation.
+#: Bandwidth marker: ``gram`` evaluates it as its sample set's median width.
 MEDIAN = "median"
+
+_WIDTH_RULE = ("RBF bandwidth must be positive with a finite nonzero square, "
+               "or the median marker")
 
 #: Gram entries evaluated per block of rows (1 MB of float64 temporaries).
 _BLOCK_ELEMENTS = 1 << 17
@@ -69,8 +71,7 @@ class KernelSpec:
             bw = self.bandwidth
             if bw != MEDIAN and not (isinstance(bw, (int, float)) and not isinstance(bw, bool)
                                      and 0 < bw and 0.0 < _square(bw) < math.inf):
-                raise ValueError("RBF bandwidth must be positive with a finite nonzero square, "
-                                 "or the median marker")
+                raise ValueError(_WIDTH_RULE)
         elif self.bandwidth is not None:
             raise ValueError(f"{fam.value} kernel takes no bandwidth")
         if fam is KernelFamily.POLYNOMIAL:
@@ -158,29 +159,24 @@ def median_heuristic(samples) -> float:
     m = n * (n - 1) // 2
     part = dists.ravel()[:m]
     part.partition(((m - 1) // 2, m // 2))
-    med = float(np.mean(part[(m - 1) // 2:m // 2 + 1]))
+    middle = part[(m - 1) // 2:m // 2 + 1]
+    med = float(np.add.reduce(middle) / middle.size)
     return med if med > 0.0 else 1.0
 
 
-def resolve(spec: KernelSpec, samples) -> KernelSpec:
-    """Replace every median-heuristic marker by the sample-set median width.
-
-    Deterministic for a fixed sample set; non-RBF leaves are returned as-is.
-    """
-    if spec.family is KernelFamily.RBF and spec.bandwidth == MEDIAN:
-        return dataclasses.replace(spec, bandwidth=median_heuristic(samples))
-    if spec.family in _COMPOSITES:
-        return dataclasses.replace(spec, parts=tuple(resolve(p, samples) for p in spec.parts))
-    return spec
+def _median_marked(spec: KernelSpec) -> bool:
+    return spec.bandwidth == MEDIAN or any(map(_median_marked, spec.parts))
 
 
-def _evaluate(spec: KernelSpec, a, b, d2):
-    """Evaluate the (resolved) kernel on broadcastable point arrays a, b whose
-    squared differences (a - b)**2 are ``d2``."""
+def _evaluate(spec: KernelSpec, a, b, d2, median_width):
+    """Evaluate the kernel on broadcastable point arrays a, b whose squared
+    differences (a - b)**2 are ``d2``; a median marker stands for
+    ``median_width``."""
     fam = spec.family
     if fam is KernelFamily.RBF:  # exp(-d2 / sigma^2)
+        width = median_width if spec.bandwidth == MEDIAN else spec.bandwidth
         out = np.negative(d2)
-        np.divide(out, spec.bandwidth**2, out=out)
+        np.divide(out, width**2, out=out)
         return np.exp(out, out=out)
     if fam is KernelFamily.LOG:  # -log1p(d2)
         out = np.log1p(d2)
@@ -194,16 +190,18 @@ def _evaluate(spec: KernelSpec, a, b, d2):
     # A composite, folded left to right into the first part's fresh array, in place.
     combine = np.multiply if fam is KernelFamily.COMPOSITE_PRODUCT else np.add
     first, *rest = spec.parts
-    out = _evaluate(first, a, b, d2)
+    out = _evaluate(first, a, b, d2, median_width)
     for part in rest:
-        combine(out, _evaluate(part, a, b, d2), out=out)
+        combine(out, _evaluate(part, a, b, d2, median_width), out=out)
     return out
 
 
 def gram(spec: KernelSpec, samples) -> np.ndarray:
     """Read-only symmetric n x n Gram matrix of kernel evaluations.
 
-    Median-heuristic bandwidths are resolved against ``samples`` first. The
+    A median marker stands for the median width of ``samples``
+    (``median_heuristic``), worked out once; a width whose square is not
+    finite and nonzero is a ValueError, as it is for ``KernelSpec``. The
     result equals its transpose bit-for-bit without mirroring: every family
     is evaluated from x - x' (which swapping the points negates exactly and
     which enters only squared) or from the commutative product x x', and
@@ -218,14 +216,18 @@ def gram(spec: KernelSpec, samples) -> np.ndarray:
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("gram needs a nonempty sample sequence")
-    spec = resolve(spec, xs)
+    median_width = None
+    if _median_marked(spec):
+        median_width = median_heuristic(xs)
+        if not 0.0 < _square(median_width) < math.inf:
+            raise ValueError(_WIDTH_RULE)
     values = np.empty((xs.size, xs.size))
     step = max(1, _BLOCK_ELEMENTS // xs.size)
     b = xs[None, :]
     with np.errstate(all="ignore"):
         for start in range(0, xs.size, step):
             a = xs[start:start + step, None]
-            values[start:start + step] = _evaluate(spec, a, b, (a - b) ** 2)
+            values[start:start + step] = _evaluate(spec, a, b, (a - b) ** 2, median_width)
     if not np.isfinite(values).all():
         raise NumericalError(f"{spec.family.value} kernel Gram has an entry that is not finite")
     values.setflags(write=False)
@@ -237,7 +239,8 @@ def center(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     written into ``out`` when given, which may be X itself."""
     if X.shape[0] < 1:
         raise ValueError("centering needs n >= 1")
-    return np.subtract(X, X.mean(axis=0), out=out)
+    # X.mean(axis=0)'s arithmetic, without its Python wrapper.
+    return np.subtract(X, np.add.reduce(X, axis=0) / X.shape[0], out=out)
 
 
 class ColumnCache:
@@ -257,9 +260,10 @@ class ColumnCache:
 
     def held(self, key, column: np.ndarray, build):
         key = key, column.tobytes()
-        if key not in self._entries:
-            self._entries[key] = build()
-        return self._entries[key]
+        value = self._entries.get(key)
+        if value is None:
+            value = self._entries[key] = build()
+        return value
 
     def part(self, owner: str, column: np.ndarray, build):
         key = owner, column.tobytes()

@@ -7,6 +7,7 @@ reader also reads the benchmark's ``pairmeta.txt``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -70,13 +71,16 @@ class PairedDataset:
 def standardize(values) -> np.ndarray:
     """Zero-mean, unit-variance rescaling; rejects a constant or overflowing spread."""
     v = np.asarray(values, dtype=float).ravel()
+    # v.mean() and v.std()'s arithmetic, without their Python wrappers.
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below instead
-        sd = float(v.std())
+        dev = v - np.add.reduce(v) / v.size
+        sd = math.sqrt(np.add.reduce(np.square(dev)) / v.size)
     if sd == 0.0:
         raise ValueError("cannot standardize a constant variable")
-    if not sd < np.inf:  # NaN fails too
+    if not sd < math.inf:  # NaN fails too
         raise ValueError("cannot standardize: the variance overflows")
-    return (v - v.mean()) / sd
+    dev /= sd
+    return dev
 
 
 def _read_lines(path: Path, what: str) -> list[str]:

@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 import oracles
-from kiim import (NumericalError, default_composite, gram, rbf, reweighted_cond_matrix,
-                  reweighting_vector, ridge_factorization)
+from kiim import (MechanismSpec, Method, NumericalError, blas, default_composite, generate, gram,
+                  infer_direction, rbf, reweighted_cond_matrix, reweighting_vector,
+                  ridge_factorization, table1_grid)
 from kiim.baselines import _kcdc_coeffs, _kcdc_spread
 from test_kernels import _gram_samples
 
@@ -88,6 +89,63 @@ def test_ridge_cholesky_is_bitwise_that_of_the_shifted_matrix():
     c, lower = scipy.linalg.cho_factor(K + 1e-3 * np.eye(300))
     assert fac._fac[1] == lower
     np.testing.assert_array_equal(fac._fac[0].view(np.uint64), c.view(np.uint64))
+
+
+def _dpotrf_infos(monkeypatch):
+    """The info of every ``dpotrf`` call made through kiim's LAPACK binding."""
+    infos = []
+    dpotrf = blas.lapack.dpotrf
+
+    def spy(*args, **kwargs):
+        c, info = dpotrf(*args, **kwargs)
+        infos.append(info)
+        return c, info
+
+    monkeypatch.setattr(blas.lapack, "dpotrf", spy)
+    return infos
+
+
+# Per method, at n = 100 and 300 over the ten grid cells and seeds 0-2
+# (60 systems): the Cholesky factors that attempting on every system took,
+# and the attempts that row 0 still allows. KCDC's log systems never qualify.
+_GRID_CHOLESKY = {Method.KIIM: ((0, 7), (2, 6)), Method.RW_KIIM: ((9, 60), (9, 60)),
+                  Method.ANM: ((60, 60), (60, 60)), Method.KCDC: ((0, 0), (0, 0))}
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_cholesky_is_attempted_unless_row_0_rules_it_out(n, monkeypatch):
+    column = [100, 300].index(n)
+    datasets = [generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=seed))
+                for mechanism, noise in table1_grid() for seed in range(3)]
+    infos = _dpotrf_infos(monkeypatch)
+    for method, counts in _GRID_CHOLESKY.items():
+        infos.clear()
+        for ds in datasets:
+            infer_direction(ds, method)
+        assert (infos.count(0), len(infos)) == counts[column], method
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_a_positive_definite_system_gets_a_cholesky_factor(n, monkeypatch):
+    # At every scale: a bound 2 M_00 M_jj that under- or overflows must not
+    # rule Cholesky out. 2 x 2 systems with M_01^2 just below M_00 M_11 too.
+    infos = _dpotrf_infos(monkeypatch)
+    rng = np.random.default_rng(n)
+    systems = []
+    for _ in range(10):
+        A = rng.standard_normal((n, n))
+        systems.append(A @ A.T)
+    if n == 2:
+        for a, c in rng.uniform(0.1, 10.0, (10, 2)):
+            b = rng.choice((-1.0, 1.0)) * np.sqrt(0.999 * a * c)
+            systems.append(np.array([[a, b], [b, c]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in systems:
+            for scale in (1.0, 1e-200, 1e150):
+                infos.clear()
+                fac = ridge_factorization(scale * K, scale * 1e-3)
+                assert fac._kind == "cholesky" and infos == [0]
 
 
 def test_singular_solve_reports_condition():

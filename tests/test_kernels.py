@@ -7,7 +7,7 @@ import pytest
 import oracles
 from kiim import (MEDIAN, KernelSpec, KernelFamily, NumericalError, center, default_composite,
                   gram, kernel_sum, log_kernel, median_heuristic, polynomial, product,
-                  rational_quadratic, rbf, resolve)
+                  rational_quadratic, rbf)
 
 
 def _k(spec, x, xp):
@@ -77,7 +77,7 @@ def test_a_gram_that_overflows_is_a_numerical_error():
         gram(polynomial(200), [0.0, 1.0, 40.0])
     with pytest.raises(NumericalError, match="log kernel"):
         gram(log_kernel(), [-1e200, 1e200])
-    # A median width whose square underflows is rejected as it resolves.
+    # A median width whose square underflows is rejected before evaluation.
     with pytest.raises(ValueError, match="finite nonzero square"):
         gram(rbf(), [0.0, 1e-170, 2e-170])
     assert np.isfinite(gram(polynomial(200), [0.0, 1.0, 2.0])).all()
@@ -132,10 +132,17 @@ def test_median_heuristic_is_the_triu_median_bit_for_bit(n):
     assert median_heuristic(np.full(n, 0.5)) == 1.0
 
 
-def test_resolve_replaces_median_marker():
-    spec = resolve(default_composite(), [0.0, 1.0, 3.0])
-    assert all(part.bandwidth != MEDIAN for part in spec.parts)
-    assert spec.parts[0].bandwidth == 2.0
+@pytest.mark.parametrize("xs", [[0.0, 1.0, 3.0], np.random.default_rng(5).standard_normal(100)],
+                         ids=["width-2", "n100"])
+def test_a_median_marker_is_the_explicit_median_width(xs):
+    width = median_heuristic(xs)
+    if len(xs) == 3:
+        assert width == 2.0
+    composite = default_composite()
+    assert composite.parts[0] == rbf(MEDIAN)
+    for marked, explicit in ((rbf(), rbf(width)),
+                             (composite, product(rbf(width), *composite.parts[1:]))):
+        assert gram(marked, xs).tobytes() == gram(explicit, xs).tobytes()
 
 
 def test_gram_single_point():

@@ -11,9 +11,10 @@ import oracles
 from adversarial_fixture import real_pair_shapes
 from kiim import (CausalDecision, Direction, IgciReference, Mechanism, MechanismSpec, Method,
                   Noise, NumericalError, PairedDataset, RunConfig, Spectrum, generate,
-                  table1_grid, anm_score, energy_rank_score, fixed_discard_score, gram,
-                  igci_score, infer_direction, invariance_matrix, kcdc_score, kiim_matrix,
-                  kiim_score, median_heuristic, rank_ablation, rbf, standardize, sym_eig)
+                  table1_grid, anm_score, default_composite, energy_rank_score,
+                  fixed_discard_score, gram, igci_score, infer_direction, invariance_matrix,
+                  kcdc_score, kiim_matrix, kiim_score, median_heuristic, parse_kernel,
+                  rank_ablation, rbf, standardize, sym_eig)
 from kiim import baselines, scoring
 from kiim.errors import TRIAL_ERRORS
 from kiim.scoring import (MIN_SAMPLES, _CACHE_GROUPS, _coeffs_factor, _decide, factor_score,
@@ -112,6 +113,19 @@ def test_decision_holds_at_most_four_n_by_n_arrays(method, traced_peak):
     mechanism, noise = table1_grid()[0]
     ds = generate(MechanismSpec(mechanism=mechanism, noise=noise, n=n, seed=0))
     assert traced_peak(lambda: infer_direction(ds, method)) < 4 * n * n * 8 + 1e6
+
+
+def test_a_kiim_decision_on_the_spectrum_path_holds_at_most_six_n_by_n_arrays(traced_peak,
+                                                                               monkeypatch):
+    """Outside the four-array rule: when factor_score's certificate fails,
+    sym_eig(B^T B) holds M, its symmetrization and eigvalsh's copy beside
+    B and the two Grams. Measured peak: 6.01 n x n arrays."""
+    n = 1000
+    ds = generate(MechanismSpec(mechanism=Mechanism.ANM1, noise=Noise.UNIFORM, n=n, seed=1))
+    eig_calls = _counting(monkeypatch, "sym_eig")
+    peak = traced_peak(lambda: infer_direction(ds, Method.KIIM, RunConfig(energy_threshold=0.7)))
+    assert len(eig_calls) == 1
+    assert peak < 6 * n * n * 8 + 1e6
 
 
 def test_one_dataset_scored_by_every_method_holds_at_most_four_n_by_n_arrays(traced_peak):
@@ -390,6 +404,20 @@ def test_decision_builds_each_gram_once(method, monkeypatch):
         calls.clear()
         infer_direction(ds, method, dataclasses.replace(RunConfig(), kernel_y=rbf()))
         assert len(calls) == 4
+
+
+def test_equal_kernel_specs_share_their_grams(monkeypatch):
+    """The cache keys a Gram by its spec's value: a config whose cause and
+    effect kernels are equal but distinct objects builds one Gram per
+    column, two per KIIM decision, not four."""
+    ds = _random_dataset(24, n=40)
+    calls = _counting(monkeypatch, "gram")
+    for kernel_x in (default_composite(), parse_kernel("product(rbf:median,log,rq)")):
+        kernel_y = default_composite()
+        assert kernel_x == kernel_y and kernel_x is not kernel_y
+        calls.clear()
+        infer_direction(ds, Method.KIIM, RunConfig(kernel_x=kernel_x, kernel_y=kernel_y))
+        assert len(calls) == 2
 
 
 def test_rank_ablation_builds_each_gram_once(monkeypatch):
